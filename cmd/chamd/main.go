@@ -34,8 +34,9 @@
 // Federation (docs/STORE.md, "Federation"): starting several daemons
 // with the same -peers list (each naming itself via -self) makes them
 // one logical archive — every run is placed on -replicas owners by
-// consistent hashing over its content address, PUT fans out, GET
-// proxies, GET /runs scatter-gathers, and anti-entropy sweeps (ridden
+// consistent hashing over its content address, PUTs replicate to the
+// owners, run-scoped GETs relay from the first peer holding the run,
+// GET /runs scatter-gathers, and anti-entropy sweeps (ridden
 // on background compaction, or extra via -anti-entropy-every) repair
 // any peer that missed writes while down. Requests are namespaced per
 // tenant (X-Cham-Tenant header; tools take -tenant), with optional

@@ -21,6 +21,7 @@ package cq
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -124,6 +125,10 @@ type FeedView struct {
 	Version uint64  `json:"version"`
 	Events  []Event `json:"events"`
 }
+
+// ErrNotFound marks a Delete of a query that is not registered (or is
+// already retired).
+var ErrNotFound = errors.New("not found")
 
 // Lookup resolves a golden run reference into its decoded trace and
 // full content address — locally or, under federation, from whichever
@@ -302,7 +307,7 @@ func (e *Engine) Delete(tenant, name string) error {
 	defer e.mu.Unlock()
 	cur := e.specs[tenant][name]
 	if cur == nil || cur.Deleted {
-		return fmt.Errorf("cq: query %q not found", name)
+		return fmt.Errorf("cq: query %q %w", name, ErrNotFound)
 	}
 	stamp := e.opts.Now().UnixMilli()
 	if stamp <= cur.UpdatedUnixMs {

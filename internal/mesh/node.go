@@ -1,16 +1,21 @@
 package mesh
 
 // Node is one chamd peer's view of the federation: the ring, its own
-// identity, and the HTTP plumbing for talking to the other owners.
-// The store's HTTP layer drives it (fan-out on PUT, proxy on GET,
-// scatter-gather on list); the anti-entropy Sweep drives itself.
+// identity, and the HTTP plumbing for talking to the other peers. Every
+// intra-mesh request goes through Do (or Broadcast, its best-effort
+// fan-out). Reads follow one rule, Read: ask the run's owners, then the
+// rest, and take the first answer that is neither 404 nor 5xx. The
+// store's HTTP layer drives it; the anti-entropy Sweep drives itself.
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"chameleon/internal/obs"
@@ -206,54 +211,51 @@ func (n *Node) Authorized(r *http.Request) bool {
 	return subtle.ConstantTimeCompare([]byte(r.Header.Get(HeaderKey)), []byte(n.secret)) == 1
 }
 
-// Decorate marks a caller-built request as intra-mesh: forward kind,
-// tenant, and the shared mesh key when one is configured.
-func (n *Node) Decorate(req *http.Request, tenant, kind string) {
-	if kind == "" {
-		kind = ForwardFanout
+// ReadOrder lists the peers to ask for a run: its owners first, then
+// every other peer, never self. A run ingested as an off-ring fallback
+// replica while its owners were down lives elsewhere until anti-entropy
+// converges, so a miss must scatter wide rather than give up at R peers.
+func (n *Node) ReadOrder(id string) []string {
+	owners := n.Owners(id)
+	out := make([]string, 0, len(n.others))
+	for _, p := range owners {
+		if p != n.self {
+			out = append(out, p)
+		}
 	}
-	req.Header.Set(HeaderForward, kind)
-	if n.secret != "" {
-		req.Header.Set(HeaderKey, n.secret)
+	for _, p := range n.others {
+		if !slices.Contains(owners, p) {
+			out = append(out, p)
+		}
 	}
-	if tenant != "" {
-		req.Header.Set(HeaderTenant, tenant)
-	}
+	return out
 }
 
-// Do sends an intra-mesh request: the forward header (loop guard),
-// mesh key, and tenant are set, and the response is returned as-is.
-func (n *Node) Do(method, peer, path, tenant, kind string, contentType string, body io.Reader) (*http.Response, error) {
-	return n.do(n.hc, method, peer, path, tenant, kind, contentType, body)
-}
-
-// Broadcast is Do on the short-timeout best-effort client: CQ
-// registration/delete fan-outs and event broadcasts ride it, so a
-// partitioned (non-refusing) peer delays the caller by at most
-// BroadcastTimeout instead of the full mesh client timeout.
-func (n *Node) Broadcast(method, peer, path, tenant, kind string, contentType string, body io.Reader) (*http.Response, error) {
-	return n.do(n.bc, method, peer, path, tenant, kind, contentType, body)
-}
-
-func (n *Node) do(hc *http.Client, method, peer, path, tenant, kind string, contentType string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, peer+path, body)
-	if err != nil {
-		return nil, err
+// Read asks the run's peers for path in ReadOrder and returns the first
+// answer that is neither 404 nor 5xx: a peer that lacks the run, or is
+// failing, defers to the next. The caller closes the body. When no peer
+// answers, the error describes the last miss.
+func (n *Node) Read(id, path, tenant, kind string, hdr http.Header) (*http.Response, error) {
+	err := fmt.Errorf("mesh: GET %s: no other peer", path)
+	for _, peer := range n.ReadOrder(id) {
+		resp, rerr := n.Do(http.MethodGet, peer, path, tenant, kind, hdr, nil)
+		if rerr != nil {
+			err = rerr
+			continue
+		}
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode < 500 {
+			return resp, nil
+		}
+		resp.Body.Close()
+		err = fmt.Errorf("mesh: GET %s%s: %s", peer, path, resp.Status)
 	}
-	n.Decorate(req, tenant, kind)
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	return hc.Do(req)
+	return nil, err
 }
 
-// Send issues a caller-built request on the intra-mesh client. The
-// caller is responsible for setting the forward header.
-func (n *Node) Send(req *http.Request) (*http.Response, error) { return n.hc.Do(req) }
-
-// getBody fetches an intra-mesh URL and returns the body on 200.
-func (n *Node) getBody(peer, path, tenant, kind string) ([]byte, error) {
-	resp, err := n.Do(http.MethodGet, peer, path, tenant, kind, "", nil)
+// Get fetches an intra-mesh path from one peer and returns the body on
+// 200.
+func (n *Node) Get(peer, path, tenant, kind string) ([]byte, error) {
+	resp, err := n.Do(http.MethodGet, peer, path, tenant, kind, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -263,4 +265,52 @@ func (n *Node) getBody(peer, path, tenant, kind string) ([]byte, error) {
 		return nil, fmt.Errorf("mesh: GET %s%s: %s: %s", peer, path, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	return io.ReadAll(resp.Body)
+}
+
+// Do sends an intra-mesh request on the mesh client: hdr plus the
+// forward kind (the loop guard), the mesh key, and the tenant. The
+// response is returned as-is.
+func (n *Node) Do(method, peer, path, tenant, kind string, hdr http.Header, body io.Reader) (*http.Response, error) {
+	return n.do(n.hc, method, peer, path, tenant, kind, hdr, body)
+}
+
+// Broadcast sends one best-effort fanout request to every other peer
+// concurrently and waits for all of them. It rides the short-timeout
+// client, so a partitioned (non-refusing) peer delays the caller by at
+// most BroadcastTimeout instead of the full mesh client timeout.
+// Failures are dropped: anti-entropy re-syncs whatever a peer missed.
+func (n *Node) Broadcast(method, path, tenant, contentType string, body []byte) {
+	hdr := http.Header{}
+	if contentType != "" {
+		hdr.Set("Content-Type", contentType)
+	}
+	var wg sync.WaitGroup
+	for _, peer := range n.others {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := n.do(n.bc, method, peer, path, tenant, ForwardFanout, hdr, bytes.NewReader(body)); err == nil {
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func (n *Node) do(hc *http.Client, method, peer, path, tenant, kind string, hdr http.Header, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequest(method, peer+path, body)
+	if err != nil {
+		return nil, err
+	}
+	for k, v := range hdr {
+		req.Header[k] = v
+	}
+	req.Header.Set(HeaderForward, kind)
+	if n.secret != "" {
+		req.Header.Set(HeaderKey, n.secret)
+	}
+	if tenant != "" {
+		req.Header.Set(HeaderTenant, tenant)
+	}
+	return hc.Do(req)
 }

@@ -46,7 +46,7 @@ func (n *Node) Sweep(target Target, engine *cq.Engine) (SweepReport, error) {
 }
 
 func (n *Node) sweepPeer(peer string, target Target, engine *cq.Engine, rep *SweepReport) error {
-	body, err := n.getBody(peer, "/mesh/manifest", "", ForwardRepair)
+	body, err := n.Get(peer, "/mesh/manifest", "", ForwardRepair)
 	if err != nil {
 		return err
 	}
@@ -59,7 +59,7 @@ func (n *Node) sweepPeer(peer string, target Target, engine *cq.Engine, rep *Swe
 			continue
 		}
 		if !target.Have(e.Tenant, e.ID) {
-			payload, err := n.getBody(peer, "/runs/"+e.ID, e.Tenant, ForwardRepair)
+			payload, err := n.Get(peer, "/runs/"+e.ID, e.Tenant, ForwardRepair)
 			if err != nil {
 				return err
 			}
@@ -73,7 +73,7 @@ func (n *Node) sweepPeer(peer string, target Target, engine *cq.Engine, rep *Swe
 		// advertises pulls it, so a replaced or newly attached sidecar
 		// survives an owner's death just like the trace itself.
 		if e.Edges && !target.HaveEdges(e.Tenant, e.ID) {
-			jsonl, err := n.getBody(peer, "/runs/"+e.ID+"/edges", e.Tenant, ForwardRepair)
+			jsonl, err := n.Get(peer, "/runs/"+e.ID+"/edges", e.Tenant, ForwardRepair)
 			if err != nil {
 				return err
 			}
@@ -84,7 +84,7 @@ func (n *Node) sweepPeer(peer string, target Target, engine *cq.Engine, rep *Swe
 		}
 	}
 	if engine != nil {
-		raw, err := n.getBody(peer, "/cq?all=1", "", ForwardRepair)
+		raw, err := n.Get(peer, "/cq?all=1", "", ForwardRepair)
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -39,21 +40,62 @@ var clientTenant string
 // process under the named tenant.
 func SetTenant(tenant string) { clientTenant = tenant }
 
-// doReq sends a client request with the process tenant attached.
-func doReq(req *http.Request) (*http.Response, error) {
-	if clientTenant != "" {
-		req.Header.Set(mesh.HeaderTenant, clientTenant)
-	}
-	return httpClient.Do(req)
-}
-
-// clientGet is httpClient.Get with the tenant header.
-func clientGet(url string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+// call sends one client request with the process tenant attached and
+// fails unless the answer's status is one of ok, quoting up to 512 bytes
+// of the answer. On success out, when non-nil, receives the answer: the
+// raw bytes for a *[]byte, the decoded JSON for anything else. The
+// returned response's body is already drained and closed.
+func call(method, url string, hdr http.Header, body []byte, out any, ok ...int) (*http.Response, error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	return doReq(req)
+	for k, v := range hdr {
+		req.Header[k] = v
+	}
+	if clientTenant != "" {
+		req.Header.Set(mesh.HeaderTenant, clientTenant)
+	}
+	resp, err := httpClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if !slices.Contains(ok, resp.StatusCode) {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, strings.TrimSpace(string(msg)))
+	}
+	switch out := out.(type) {
+	case nil:
+	case *[]byte:
+		if *out, err = io.ReadAll(resp.Body); err != nil {
+			return nil, fmt.Errorf("%s %s: %w", method, url, err)
+		}
+	default:
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return nil, fmt.Errorf("%s %s: decode response: %w", method, url, err)
+		}
+	}
+	return resp, nil
+}
+
+// gzipBody returns a request body and its headers, gzip-compressed when
+// asked.
+func gzipBody(b []byte, contentType string, useGzip bool) ([]byte, http.Header, error) {
+	hdr := http.Header{"Content-Type": {contentType}}
+	if !useGzip {
+		return b, hdr, nil
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(b); err != nil {
+		return nil, nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return nil, nil, err
+	}
+	hdr.Set("Content-Encoding", "gzip")
+	return buf.Bytes(), hdr, nil
 }
 
 // IsRef reports whether the trace reference is an HTTP(S) URL rather
@@ -80,24 +122,10 @@ func (t TransferStats) String() string {
 // FetchBytes GETs a run reference and returns the decoded payload plus
 // transfer statistics.
 func FetchBytes(url string) ([]byte, TransferStats, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	var wire []byte
+	resp, err := call(http.MethodGet, url, http.Header{"Accept-Encoding": {"gzip"}}, nil, &wire, http.StatusOK)
 	if err != nil {
 		return nil, TransferStats{}, err
-	}
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := doReq(req)
-	if err != nil {
-		return nil, TransferStats{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, TransferStats{}, fmt.Errorf("GET %s: %s: %s",
-			url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	wire, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, TransferStats{}, fmt.Errorf("GET %s: %w", url, err)
 	}
 	stats := TransferStats{WireBytes: int64(len(wire))}
 	payload := wire
@@ -163,20 +191,9 @@ func OpenRef(ref string) (io.ReadCloser, error) {
 // content address or unique prefix). The report is computed server-side
 // without expanding the stored trace.
 func FetchStats(base, id string) (StatsResponse, error) {
-	url := strings.TrimSuffix(base, "/") + "/runs/" + id + "/stats"
-	resp, err := clientGet(url)
-	if err != nil {
-		return StatsResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return StatsResponse{}, fmt.Errorf("GET %s: %s: %s",
-			url, resp.Status, strings.TrimSpace(string(msg)))
-	}
 	var out StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return StatsResponse{}, fmt.Errorf("GET %s: decode response: %w", url, err)
+	if err := getJSON(strings.TrimSuffix(base, "/")+"/runs/"+id+"/stats", &out); err != nil {
+		return StatsResponse{}, err
 	}
 	return out, nil
 }
@@ -189,73 +206,31 @@ func FetchWaves(base, id string, cols int) (WavesResponse, error) {
 	if cols > 0 {
 		url += fmt.Sprintf("?cols=%d", cols)
 	}
-	resp, err := clientGet(url)
-	if err != nil {
-		return WavesResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return WavesResponse{}, fmt.Errorf("GET %s: %s: %s",
-			url, resp.Status, strings.TrimSpace(string(msg)))
-	}
 	var out WavesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return WavesResponse{}, fmt.Errorf("GET %s: decode response: %w", url, err)
+	if err := getJSON(url, &out); err != nil {
+		return WavesResponse{}, err
 	}
 	return out, nil
 }
 
 // FetchEdges downloads a run's causal edge sidecar.
 func FetchEdges(base, id string) ([]obs.Edge, error) {
-	url := strings.TrimSuffix(base, "/") + "/runs/" + id + "/edges"
-	resp, err := clientGet(url)
-	if err != nil {
+	var jsonl []byte
+	if _, err := call(http.MethodGet, strings.TrimSuffix(base, "/")+"/runs/"+id+"/edges", nil, nil, &jsonl, http.StatusOK); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("GET %s: %s: %s",
-			url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return obs.ReadEdges(resp.Body)
+	return obs.ReadEdges(bytes.NewReader(jsonl))
 }
 
 // PushEdges attaches a causal edge sidecar (JSONL bytes, the format
 // obs.WriteEdges produces) to an already-pushed run.
 func PushEdges(base, id string, jsonl []byte, useGzip bool) error {
-	url := strings.TrimSuffix(base, "/") + "/runs/" + id + "/edges"
-	body := jsonl
-	var buf bytes.Buffer
-	if useGzip {
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(jsonl); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		body = buf.Bytes()
-	}
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
+	body, hdr, err := gzipBody(jsonl, "application/x-ndjson", useGzip)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	if useGzip {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
-	resp, err := doReq(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("PUT %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return nil
+	_, err = call(http.MethodPut, strings.TrimSuffix(base, "/")+"/runs/"+id+"/edges", hdr, body, nil, http.StatusOK)
+	return err
 }
 
 // Push uploads a trace to a chamd archive rooted at base (e.g.
@@ -276,39 +251,14 @@ func PushBytes(base string, payload []byte, useGzip bool) (Run, bool, error) {
 	if !strings.HasSuffix(url, "/runs") {
 		url += "/runs"
 	}
-	body := payload
-	var buf bytes.Buffer
-	if useGzip {
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(payload); err != nil {
-			return Run{}, false, err
-		}
-		if err := zw.Close(); err != nil {
-			return Run{}, false, err
-		}
-		body = buf.Bytes()
-	}
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
+	body, hdr, err := gzipBody(payload, "application/octet-stream", useGzip)
 	if err != nil {
 		return Run{}, false, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if useGzip {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
-	resp, err := doReq(req)
-	if err != nil {
-		return Run{}, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return Run{}, false, fmt.Errorf("PUT %s: %s: %s",
-			url, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	var run Run
-	if err := json.NewDecoder(resp.Body).Decode(&run); err != nil {
-		return Run{}, false, fmt.Errorf("PUT %s: decode response: %w", url, err)
+	resp, err := call(http.MethodPut, url, hdr, body, &run, http.StatusOK, http.StatusCreated)
+	if err != nil {
+		return Run{}, false, err
 	}
 	return run, resp.StatusCode == http.StatusCreated, nil
 }
@@ -345,24 +295,10 @@ func RegisterCQ(base string, spec cq.Spec) (cq.Spec, error) {
 	if err != nil {
 		return cq.Spec{}, err
 	}
-	url := strings.TrimSuffix(base, "/") + "/cq"
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		return cq.Spec{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := doReq(req)
-	if err != nil {
-		return cq.Spec{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return cq.Spec{}, fmt.Errorf("PUT %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
 	var out cq.Spec
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return cq.Spec{}, fmt.Errorf("PUT %s: decode response: %w", url, err)
+	if _, err := call(http.MethodPut, strings.TrimSuffix(base, "/")+"/cq", http.Header{"Content-Type": {"application/json"}},
+		body, &out, http.StatusOK, http.StatusCreated); err != nil {
+		return cq.Spec{}, err
 	}
 	return out, nil
 }
@@ -378,21 +314,8 @@ func FetchCQs(base string) ([]cq.Spec, error) {
 
 // DeleteCQ drops a registered continuous query by name.
 func DeleteCQ(base, name string) error {
-	url := strings.TrimSuffix(base, "/") + "/cq/" + name
-	req, err := http.NewRequest(http.MethodDelete, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := doReq(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("DELETE %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return nil
+	_, err := call(http.MethodDelete, strings.TrimSuffix(base, "/")+"/cq/"+name, nil, nil, nil, http.StatusNoContent, http.StatusOK)
+	return err
 }
 
 // FetchCQFeed fetches the tenant's continuous-query event feed.
@@ -429,26 +352,12 @@ func FetchMeshStatus(base string) (MeshStatus, error) {
 // TriggerSweep asks a peer to run one anti-entropy pass now and
 // returns its report.
 func TriggerSweep(base string) (mesh.SweepReport, error) {
-	url := strings.TrimSuffix(base, "/") + "/mesh/sweep"
-	req, err := http.NewRequest(http.MethodPost, url, nil)
-	if err != nil {
-		return mesh.SweepReport{}, err
-	}
-	resp, err := doReq(req)
-	if err != nil {
-		return mesh.SweepReport{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return mesh.SweepReport{}, fmt.Errorf("POST %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
 	var out struct {
 		mesh.SweepReport
 		Error string `json:"error,omitempty"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return mesh.SweepReport{}, fmt.Errorf("POST %s: decode response: %w", url, err)
+	if _, err := call(http.MethodPost, strings.TrimSuffix(base, "/")+"/mesh/sweep", nil, nil, &out, http.StatusOK); err != nil {
+		return mesh.SweepReport{}, err
 	}
 	if out.Error != "" {
 		return out.SweepReport, fmt.Errorf("sweep: %s", out.Error)

@@ -92,7 +92,7 @@ func (a *Archive) edgesPayload(tenant, id string) ([]byte, Run, error) {
 	}
 	b, err := os.ReadFile(a.edgesPath(tenant, run.ID))
 	if os.IsNotExist(err) {
-		return nil, Run{}, fmt.Errorf("store: edge sidecar for run %s not found", run.ID[:12])
+		return nil, Run{}, fmt.Errorf("store: edge sidecar for run %s %w", run.ID[:12], ErrNotFound)
 	}
 	if err != nil {
 		return nil, Run{}, fmt.Errorf("store: edges: %w", err)

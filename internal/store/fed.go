@@ -4,8 +4,8 @@ package store
 //
 //   - archiveTarget adapts the Archive to mesh.Target so the
 //     anti-entropy sweep can enumerate, check, and pull runs.
-//   - FedLookup resolves a continuous query's golden run: locally
-//     first, then from the run's owners across the mesh.
+//   - FedLookup resolves a continuous query's golden run, and either
+//     side of a diff: locally first, then through node.Read.
 //   - BroadcastCQEvents pushes locally-emitted CQ events to every
 //     other peer so a long-poll watcher on any peer sees them.
 //   - rateLimiter is the per-tenant token bucket the HTTP edge
@@ -15,7 +15,6 @@ package store
 //     load R-fold.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -76,7 +75,7 @@ func (t archiveTarget) PullEdges(tenant, id string, jsonl []byte) error {
 
 // FedLookup builds the cq.Lookup a federated engine uses to resolve
 // golden runs — and the diff endpoint uses to resolve either side: the
-// local archive first, then the run's owner peers (node nil means
+// local archive first, then the mesh through node.Read (node nil means
 // local-only). A run fetched from a peer is decoded but not ingested —
 // resolution must not mutate placement.
 func FedLookup(a *Archive, node *mesh.Node) cq.Lookup {
@@ -88,108 +87,41 @@ func FedLookup(a *Archive, node *mesh.Node) cq.Lookup {
 		if node == nil {
 			return nil, "", err
 		}
-		var lastErr error
-		for _, peer := range ownersThenRest(node, id) {
-			resp, err := node.Do(http.MethodGet, peer, "/runs/"+id, tenant, mesh.ForwardRepair, "", nil)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			body, err := readOK(resp)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			f, err := trace.ReadAny(bytes.NewReader(body))
-			if err != nil {
-				return nil, "", fmt.Errorf("store: run %s from %s: %w", id, peer, err)
-			}
-			_, cid, err := Encode(f)
-			if err != nil {
-				return nil, "", err
-			}
-			return f, cid, nil
+		resp, err := node.Read(id, "/runs/"+id, tenant, mesh.ForwardRepair, nil)
+		if err != nil {
+			return nil, "", fmt.Errorf("store: run %s %w on any peer: %v", id, ErrNotFound, err)
 		}
-		if lastErr != nil {
-			return nil, "", fmt.Errorf("store: run %s not found on any peer: %w", id, lastErr)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, "", fmt.Errorf("store: run %s %w on any peer: %s", id, ErrNotFound, resp.Status)
 		}
-		return nil, "", fmt.Errorf("store: run %q not found", id)
-	}
-}
-
-// ownersThenRest orders peers for a read: the run's owners first
-// (minus self), then every other peer — a run ingested as a fallback
-// replica while its owner was down lives off-ring until anti-entropy
-// converges, so misses must scatter wide, not give up at R peers.
-func ownersThenRest(node *mesh.Node, id string) []string {
-	seen := map[string]bool{node.Self(): true}
-	out := make([]string, 0, len(node.Peers()))
-	for _, p := range node.Owners(id) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
+		if f, err = trace.ReadAny(resp.Body); err != nil {
+			return nil, "", fmt.Errorf("store: run %s from %s: %w", id, resp.Request.URL.Host, err)
 		}
-	}
-	for _, p := range node.Others() {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
+		_, cid, err := Encode(f)
+		if err != nil {
+			return nil, "", err
 		}
+		return f, cid, nil
 	}
-	return out
-}
-
-func readOK(resp *http.Response) ([]byte, error) {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s", resp.Status)
-	}
-	buf := new(bytes.Buffer)
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // BroadcastCQEvents returns an engine OnEvent hook that forwards each
-// locally-emitted event to every other peer (POST /cq/events, fanout
-// header), so a watcher long-polling any peer's feed sees gates fired
-// anywhere in the mesh. Delivery is best-effort: the feed is
-// observability, not a ledger, and receivers dedup by event ID. Peers
-// are contacted concurrently on the short-timeout broadcast client, so
-// a partitioned peer delays the ingest that fired the gate by at most
-// the broadcast timeout, never the full request budget.
+// locally-emitted event to every other peer (POST /cq/events via
+// node.Broadcast), so a watcher long-polling any peer's feed sees gates
+// fired anywhere in the mesh. Delivery is best-effort: the feed is
+// observability, not a ledger, and receivers dedup by event ID. A
+// partitioned peer delays the ingest that fired the gate by at most the
+// broadcast timeout, never the full request budget.
 func BroadcastCQEvents(node *mesh.Node) func(cq.Event) {
 	if node == nil {
 		return nil
 	}
 	return func(ev cq.Event) {
-		body, err := json.Marshal(ev)
-		if err != nil {
-			return
+		if body, err := json.Marshal(ev); err == nil {
+			node.Broadcast(http.MethodPost, "/cq/events", ev.Tenant, "application/json", body)
 		}
-		broadcast(node, func(peer string) (*http.Response, error) {
-			return node.Broadcast(http.MethodPost, peer, "/cq/events", ev.Tenant, mesh.ForwardFanout,
-				"application/json", bytes.NewReader(body))
-		})
 	}
-}
-
-// broadcast runs one best-effort call against every other peer
-// concurrently and waits for all of them (each bounded by the node's
-// broadcast timeout). Failures are dropped — anti-entropy re-syncs.
-func broadcast(node *mesh.Node, call func(peer string) (*http.Response, error)) {
-	var wg sync.WaitGroup
-	for _, peer := range node.Others() {
-		wg.Add(1)
-		go func(peer string) {
-			defer wg.Done()
-			if resp, err := call(peer); err == nil {
-				resp.Body.Close()
-			}
-		}(peer)
-	}
-	wg.Wait()
 }
 
 // rateLimiter is a per-tenant token bucket. The zero rate disables

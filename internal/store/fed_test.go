@@ -34,6 +34,8 @@ type meshConfig struct {
 	secret   string
 	archive  func(i int) Options
 	server   func(i int) ServerOptions
+	// wrap, when set, wraps each peer's handler (to observe traffic).
+	wrap func(i int, h http.Handler) http.Handler
 }
 
 // startMesh boots n federated peers. Ports are reserved up front so
@@ -81,7 +83,11 @@ func startMesh(t *testing.T, n int, cfg meshConfig) []*fedPeer {
 			sOpts = cfg.server(i)
 		}
 		sOpts.Mesh, sOpts.CQ = node, eng
-		srv := httptest.NewUnstartedServer(NewServer(a, sOpts))
+		var h http.Handler = NewServer(a, sOpts)
+		if cfg.wrap != nil {
+			h = cfg.wrap(i, h)
+		}
+		srv := httptest.NewUnstartedServer(h)
 		srv.Listener.Close()
 		srv.Listener = listeners[i]
 		srv.Start()

@@ -5,7 +5,6 @@ package store
 // turns a SessionView into the refreshing terminal table.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,16 +19,8 @@ func liveBase(base string) string {
 }
 
 func getJSON(u string, out any) error {
-	resp, err := clientGet(u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET %s: %s: %s", u, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	_, err := call(http.MethodGet, u, nil, nil, out, http.StatusOK)
+	return err
 }
 
 // FetchLiveSessions lists the daemon's in-flight sessions.

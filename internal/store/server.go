@@ -28,11 +28,14 @@ package store
 // Every run, live session, and query is namespaced by the
 // X-Cham-Tenant header (default "default"); tenants are rate-limited
 // (429 + Retry-After) and quota-bounded at this edge. When a mesh.Node
-// is configured the handler federates: PUT fans out to the run's R
-// owners, a GET miss transparently proxies to a peer that has the run,
-// and GET /runs scatter-gathers the whole fleet. Intra-mesh traffic
-// carries the X-Cham-Mesh header and is always served strictly locally
-// — that header is the loop guard. On a mesh started with a shared
+// is configured the handler federates by two rules. Reads: every
+// run-scoped GET is registered through runRead, which serves locally
+// and relays a not-found through mesh.Node.Read (owners, then the rest;
+// the first answer that is neither 404 nor 5xx wins). Writes: PUT /runs
+// and PUT /runs/{id}/edges go through replicate. GET /runs
+// scatter-gathers the whole fleet. Intra-mesh traffic carries the
+// X-Cham-Mesh header and is always served strictly locally — that
+// header is the loop guard. On a mesh started with a shared
 // secret the header is only honored alongside the matching
 // X-Cham-Mesh-Key, so external clients cannot claim intra-mesh trust;
 // without a secret the header is cooperative (docs/STORE.md).
@@ -51,6 +54,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,11 +165,11 @@ func NewServer(a *Archive, opts ServerOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /runs", s.handlePut)
 	mux.HandleFunc("GET /runs", s.handleList)
-	mux.HandleFunc("GET /runs/{id}", s.handleGet)
-	mux.HandleFunc("GET /runs/{id}/stats", s.handleStats)
+	mux.HandleFunc("GET /runs/{id}", s.runRead(s.serveRun))
+	mux.HandleFunc("GET /runs/{id}/stats", s.runRead(s.serveStats))
 	mux.HandleFunc("PUT /runs/{id}/edges", s.handleEdgesPut)
-	mux.HandleFunc("GET /runs/{id}/edges", s.handleEdgesGet)
-	mux.HandleFunc("GET /runs/{id}/waves", s.handleWaves)
+	mux.HandleFunc("GET /runs/{id}/edges", s.runRead(s.serveEdges))
+	mux.HandleFunc("GET /runs/{id}/waves", s.runRead(s.serveWaves))
 	mux.HandleFunc("GET /runs/{a}/diff/{b}", s.handleDiff)
 	mux.HandleFunc("POST /live/sessions/{id}/deltas", s.handleLiveDeltas)
 	mux.HandleFunc("GET /live/sessions", s.handleLiveList)
@@ -285,17 +289,30 @@ func (s *server) fail(w http.ResponseWriter, code int, format string, args ...an
 	http.Error(w, fmt.Sprintf("chamd: "+format, args...), code)
 }
 
+// statusError is an error that fixes its own HTTP status.
+type statusError struct {
+	code int
+	error
+}
+
 func failCode(err error) int {
-	if errors.Is(err, ErrQuotaExceeded) {
+	var se statusError
+	switch {
+	case errors.As(err, &se):
+		return se.code
+	case errors.Is(err, ErrQuotaExceeded):
 		return http.StatusTooManyRequests
-	}
-	if strings.Contains(err.Error(), "not found") {
+	case errors.Is(err, ErrNotFound), errors.Is(err, cq.ErrNotFound):
 		return http.StatusNotFound
-	}
-	if strings.Contains(err.Error(), "ambiguous") {
+	case errors.Is(err, ErrAmbiguous):
 		return http.StatusConflict
 	}
 	return http.StatusBadRequest
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(v) //nolint:errcheck — client gone is fine
 }
 
 // readBody drains a possibly-gzipped request body under the size cap,
@@ -354,14 +371,9 @@ func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if s.node != nil && !s.forwarded(r) {
-		s.fanoutPut(w, r, tenant, f, canon, id, start)
-		return
-	}
-
-	run, created, err := s.ingestLocal(tenant, f, canon, id, !s.repair(r))
+	run, created, err := s.putRun(r, tenant, f, canon, id)
 	if err != nil {
-		if errors.Is(err, ErrQuotaExceeded) {
+		if failCode(err) == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "60")
 		}
 		s.fail(w, failCode(err), "%v", err)
@@ -371,17 +383,58 @@ func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
 	s.writeRun(w, run, created)
 }
 
-// ingestLocal stores the canonical payload and, when this peer is the
-// run's primary owner (or there is no mesh), evaluates continuous
-// queries against it. Repair ingests pass evaluate=false: anti-entropy
-// must converge replicas without re-firing gates.
-func (s *server) ingestLocal(tenant string, f *trace.File, canon []byte, id string, evaluate bool) (Run, bool, error) {
-	run, created, err := s.a.ingest(tenant, f, canon, id)
-	if err != nil {
-		return Run{}, false, err
+// putRun stores an ingest: locally without a mesh or for a forwarded
+// replica, otherwise on the run's owners through replicate. When every
+// owner is unreachable this peer keeps the run off-ring as a fallback
+// replica (the anti-entropy sweep moves it onto the ring later), so a
+// write succeeds while any peer can hold it; it is refused with 429
+// only when the owners rejected it (quota) rather than failed it.
+func (s *server) putRun(r *http.Request, tenant string, f *trace.File, canon []byte, id string) (Run, bool, error) {
+	local := func() (Run, bool, error) {
+		run, created, err := s.a.ingest(tenant, f, canon, id)
+		// The run's primary owner (or a lone archive) evaluates
+		// continuous queries; anti-entropy repairs converge replicas
+		// without re-firing gates.
+		if err == nil && created && s.cq != nil && !s.repair(r) && (s.node == nil || s.node.IsPrimary(id)) {
+			s.cq.Evaluate(tenant, id, f)
+		}
+		return run, created, err
 	}
-	if evaluate && created && s.cq != nil && (s.node == nil || s.node.IsPrimary(id)) {
-		s.cq.Evaluate(tenant, id, f)
+	if s.node == nil || s.forwarded(r) {
+		return local()
+	}
+	s.mFanouts.Inc()
+	var run Run
+	var created bool
+	var err error
+	here := false
+	if s.node.IsOwner(id) {
+		run, created, err = local()
+		if err != nil && !errors.Is(err, ErrQuotaExceeded) {
+			return Run{}, false, err
+		}
+		here = err == nil
+	}
+	rep := s.replicate(s.node.Owners(id), "/runs", tenant, "application/octet-stream", canon, http.StatusTooManyRequests)
+	switch {
+	case here:
+		return run, created || rep.created, nil
+	case rep.stored > 0:
+		// Ingest metadata is deterministic, so an owner's unparsable
+		// answer is rebuilt locally.
+		if json.Unmarshal(rep.answer, &run) != nil || run.ID == "" {
+			run = *describe(f, canon, id)
+			run.Tenant = tenant
+		}
+		return run, rep.created, nil
+	case rep.failed == 0:
+		if err == nil {
+			err = rep.err
+		}
+		return Run{}, false, statusError{http.StatusTooManyRequests, err}
+	}
+	if run, created, err = local(); err != nil {
+		return Run{}, false, fmt.Errorf("replicate %s: %w (owners: %v)", id[:12], err, rep.err)
 	}
 	return run, created, nil
 }
@@ -396,207 +449,150 @@ func (s *server) writeRun(w http.ResponseWriter, run Run, created bool) {
 	json.NewEncoder(w).Encode(run) //nolint:errcheck — client gone is fine
 }
 
-// fanoutPut replicates an edge ingest to the run's R owners. Self
-// ingests directly; remote owners get a forwarded PUT. A dead remote
-// owner is tolerated by ingesting locally as a fallback replica — the
-// anti-entropy sweep moves the bytes onto the ring later — so a write
-// succeeds as long as any peer can hold it.
-func (s *server) fanoutPut(w http.ResponseWriter, r *http.Request, tenant string, f *trace.File, canon []byte, id string, start time.Time) {
-	s.mFanouts.Inc()
-	owners := s.node.Owners(id)
-	var run *Run
-	created := false
-	stored := 0
-	quotaHits := 0
-	remoteFailed := false
-	var lastErr error
-
-	for _, owner := range owners {
-		if owner == s.node.Self() {
-			rr, c, err := s.ingestLocal(tenant, f, canon, id, !s.repair(r))
-			if err != nil {
-				if errors.Is(err, ErrQuotaExceeded) {
-					quotaHits++
-					lastErr = err
-					continue
-				}
-				s.fail(w, failCode(err), "%v", err)
-				return
-			}
-			run, created, stored = &rr, created || c, stored+1
-			continue
-		}
-		resp, err := s.node.Do(http.MethodPut, owner, "/runs", tenant, mesh.ForwardFanout,
-			"application/octet-stream", bytes.NewReader(canon))
-		if err != nil {
-			remoteFailed = true
-			lastErr = err
-			continue
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusCreated:
-			created = created || resp.StatusCode == http.StatusCreated
-			stored++
-			if run == nil {
-				var rr Run
-				if json.Unmarshal(body, &rr) == nil && rr.ID != "" {
-					run = &rr
-				}
-			}
-		case http.StatusTooManyRequests:
-			quotaHits++
-			lastErr = fmt.Errorf("%s: %s", owner, strings.TrimSpace(string(body)))
-		default:
-			remoteFailed = true
-			lastErr = fmt.Errorf("%s: %s: %s", owner, resp.Status, strings.TrimSpace(string(body)))
-		}
-	}
-
-	if stored == 0 {
-		if quotaHits > 0 && !remoteFailed {
-			w.Header().Set("Retry-After", "60")
-			s.fail(w, http.StatusTooManyRequests, "%v", lastErr)
-			return
-		}
-		// Every owner is unreachable or full: last resort is this peer.
-		rr, c, err := s.ingestLocal(tenant, f, canon, id, !s.repair(r))
-		if err != nil {
-			if errors.Is(err, ErrQuotaExceeded) {
-				w.Header().Set("Retry-After", "60")
-			}
-			s.fail(w, failCode(err), "replicate %s: %v (owners: %v)", id[:12], err, lastErr)
-			return
-		}
-		run, created = &rr, c
-	}
-	if run == nil {
-		// Stored remotely but the owner's response didn't parse; build
-		// the record locally — ingest metadata is deterministic.
-		rr := *describe(f, canon, id)
-		rr.Tenant = tenant
-		run = &rr
-	}
-	s.hIngest.Observe(time.Since(start).Nanoseconds())
-	s.writeRun(w, *run, created)
+// replicas tallies the answers to one write replicated across peers.
+type replicas struct {
+	stored  int    // peers that took the write (2xx)
+	created bool   // some peer answered 201
+	answer  []byte // the first stored answer's body
+	failed  int    // peers unreachable or answering an unexpected status
+	err     error  // the last failure, else the last rejection
 }
 
-// proxyHeaders are the request headers a transparent peer proxy
-// forwards and the response headers it relays back.
-var proxyReqHeaders = []string{"Accept", "Accept-Encoding", "If-None-Match"}
-var proxyRespHeaders = []string{"Content-Type", "Content-Encoding", "ETag", "Content-Length",
+// replicate is the mesh's one writer: it PUTs body to every target but
+// self, in order, with the fanout header. reject is the status a target
+// answers when it cannot hold the write for a reason of its own (quota
+// for runs, no such run for sidecars); it is neither stored nor failed.
+func (s *server) replicate(targets []string, path, tenant, contentType string, body []byte, reject int) replicas {
+	var out replicas
+	hdr := http.Header{"Content-Type": {contentType}}
+	for _, peer := range targets {
+		if peer == s.node.Self() {
+			continue
+		}
+		resp, err := s.node.Do(http.MethodPut, peer, path, tenant, mesh.ForwardFanout, hdr, bytes.NewReader(body))
+		if err != nil {
+			out.failed++
+			out.err = err
+			continue
+		}
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		resp.Body.Close()
+		switch code := resp.StatusCode; {
+		case code == http.StatusOK || code == http.StatusCreated:
+			out.stored++
+			out.created = out.created || code == http.StatusCreated
+			if out.answer == nil {
+				out.answer = msg
+			}
+		case code == reject:
+			if out.failed == 0 {
+				out.err = fmt.Errorf("%s: %s", peer, strings.TrimSpace(string(msg)))
+			}
+		default:
+			out.failed++
+			out.err = fmt.Errorf("%s: %s: %s", peer, resp.Status, strings.TrimSpace(string(msg)))
+		}
+	}
+	return out
+}
+
+// runRead registers a run-scoped GET: it validates the tenant, counts
+// the query, and has serve answer from the local archive. serve returns
+// an error, without writing a response, when it cannot answer; a
+// not-found is then relayed to the mesh, so every run-scoped GET is
+// federated by default.
+func (s *server) runRead(serve func(w http.ResponseWriter, r *http.Request, tv TenantView, id string) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.mQueryReqs.Inc()
+		start := time.Now()
+		tenant, ok := s.tenantOf(w, r)
+		if !ok {
+			return
+		}
+		id := r.PathValue("id")
+		err := serve(w, r, s.a.Tenant(tenant), id)
+		switch {
+		case err == nil:
+			s.hQueries.Observe(time.Since(start).Nanoseconds())
+		case !errors.Is(err, ErrNotFound) || !s.relay(w, r, tenant, id):
+			s.fail(w, failCode(err), "%v", err)
+		}
+	}
+}
+
+// The request headers a relay forwards, so the peer answers as this one
+// would, and the response headers it passes back.
+var relayReqHeaders = []string{"Accept", "Accept-Encoding", "If-None-Match"}
+var relayRespHeaders = []string{"Content-Type", "Content-Encoding", "ETag", "Content-Length",
 	"X-Raw-Bytes", "X-Stored-Bytes", "Location"}
 
-// proxyRead forwards a GET this peer cannot serve to the run's owners
-// (then the rest of the fleet) and relays the first definitive
-// response. It reports whether the request was handled.
-func (s *server) proxyRead(w http.ResponseWriter, r *http.Request, tenant, id, path string) bool {
+// relay answers a run-scoped GET this peer cannot serve with the mesh's
+// answer (mesh.Node.Read), reporting whether there was one. Forwarded
+// requests are never relayed again.
+func (s *server) relay(w http.ResponseWriter, r *http.Request, tenant, id string) bool {
 	if s.node == nil || s.forwarded(r) {
 		return false
 	}
-	target := path
-	if q := r.URL.RawQuery; q != "" {
-		target += "?" + q
+	hdr := http.Header{}
+	for _, h := range relayReqHeaders {
+		if v := r.Header.Get(h); v != "" {
+			hdr.Set(h, v)
+		}
 	}
-	for _, peer := range ownersThenRest(s.node, id) {
-		req, err := http.NewRequest(http.MethodGet, peer+target, nil)
-		if err != nil {
-			return false
-		}
-		s.node.Decorate(req, tenant, mesh.ForwardFanout)
-		for _, h := range proxyReqHeaders {
-			if v := r.Header.Get(h); v != "" {
-				req.Header.Set(h, v)
-			}
-		}
-		resp, err := s.node.Send(req)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound || resp.StatusCode >= 500 {
-			resp.Body.Close()
-			continue
-		}
-		for _, h := range proxyRespHeaders {
-			if v := resp.Header.Get(h); v != "" {
-				w.Header().Set(h, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body) //nolint:errcheck — client gone is fine
-		resp.Body.Close()
-		s.mProxied.Inc()
-		return true
+	resp, err := s.node.Read(id, r.URL.RequestURI(), tenant, mesh.ForwardFanout, hdr)
+	if err != nil {
+		return false
 	}
-	return false
+	defer resp.Body.Close()
+	for _, h := range relayRespHeaders {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
+	}
+	w.WriteHeader(resp.StatusCode)
+	io.Copy(w, resp.Body) //nolint:errcheck — client gone is fine
+	s.mProxied.Inc()
+	return true
 }
 
-func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	start := time.Now()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	tv := s.a.Tenant(tenant)
-
+func (s *server) serveRun(w http.ResponseWriter, r *http.Request, tv TenantView, id string) error {
 	run, err := tv.Resolve(id)
 	if err != nil {
-		if strings.Contains(err.Error(), "not found") && s.proxyRead(w, r, tenant, id, "/runs/"+id) {
-			return
-		}
-		s.fail(w, failCode(err), "%v", err)
-		return
+		return err
 	}
-	etag := `"` + run.ID + `"`
-	if match := r.Header.Get("If-None-Match"); match != "" && strings.Contains(match, etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
+	if notModified(w, r, `"`+run.ID+`"`) {
+		return nil
 	}
-
-	asJSON := r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json")
-	if asJSON {
+	if r.URL.Query().Get("format") == "json" || strings.Contains(r.Header.Get("Accept"), "application/json") {
 		f, _, err := tv.Get(run.ID)
 		if err != nil {
-			s.fail(w, http.StatusInternalServerError, "%v", err)
-			return
+			return statusError{http.StatusInternalServerError, err}
 		}
-		w.Header().Set("ETag", etag)
 		w.Header().Set("Content-Type", "application/json")
 		if err := f.Write(w); err != nil {
 			s.mErrors.Inc()
 		}
-		s.hQueries.Observe(time.Since(start).Nanoseconds())
-		return
+		return nil
 	}
-
-	wantGzip := strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
 	var payload []byte
-	if wantGzip && run.Gzip {
+	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") && run.Gzip {
 		// The segment is already a gzip frame; stream it as the
 		// transfer encoding without recompressing.
-		payload, _, err = tv.StoredPayload(run.ID)
-		if err == nil {
+		if payload, _, err = tv.StoredPayload(run.ID); err == nil {
 			w.Header().Set("Content-Encoding", "gzip")
 		}
 	} else {
 		payload, _, err = tv.Payload(run.ID)
 	}
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "%v", err)
-		return
+		return statusError{http.StatusInternalServerError, err}
 	}
-	w.Header().Set("ETag", etag)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Raw-Bytes", strconv.FormatInt(run.RawBytes, 10))
 	w.Header().Set("X-Stored-Bytes", strconv.FormatInt(run.StoredBytes, 10))
 	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	w.Write(payload) //nolint:errcheck — client gone is fine
-	s.hQueries.Observe(time.Since(start).Nanoseconds())
+	return nil
 }
 
 // ListResponse is the JSON shape of GET /runs. Next, when present, is
@@ -661,11 +657,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	var runs []Run
 	var total int
 	if s.node != nil && !fwd {
-		runs, total, err = s.scatterList(tenant, q, r.URL.Query())
-		if err != nil {
-			s.fail(w, http.StatusBadGateway, "%v", err)
-			return
-		}
+		runs, total = s.scatterList(tenant, q, r.URL.Query())
 	} else {
 		runs, total = s.a.list(tenant, q)
 	}
@@ -677,8 +669,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	if next := q.Offset + len(resp.Runs); len(resp.Runs) > 0 && next < total {
 		resp.Next = next
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck
+	writeJSON(w, resp)
 	s.hQueries.Observe(time.Since(start).Nanoseconds())
 }
 
@@ -688,7 +679,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 // single-archive listing. An unreachable peer degrades the listing to
 // the reachable subset rather than failing it — at R>=2 every run is
 // still visible through a surviving owner.
-func (s *server) scatterList(tenant string, q Query, params map[string][]string) ([]Run, int, error) {
+func (s *server) scatterList(tenant string, q Query, params url.Values) ([]Run, int) {
 	full := q
 	full.Limit, full.Offset = 0, 0
 	local, _ := s.a.list(tenant, full)
@@ -697,30 +688,20 @@ func (s *server) scatterList(tenant string, q Query, params map[string][]string)
 		byID[r.ID] = r
 	}
 
-	query := ""
+	filter := url.Values{}
 	for _, k := range []string{"benchmark", "p", "sig", "sigset"} {
-		if vs, ok := params[k]; ok && len(vs) > 0 && vs[0] != "" {
-			if query != "" {
-				query += "&"
-			}
-			query += k + "=" + vs[0]
+		if v := params.Get(k); v != "" {
+			filter.Set(k, v)
 		}
 	}
 	path := "/runs"
-	if query != "" {
-		path += "?" + query
+	if len(filter) > 0 {
+		path += "?" + filter.Encode()
 	}
 	for _, peer := range s.node.Others() {
-		resp, err := s.node.Do(http.MethodGet, peer, path, tenant, mesh.ForwardFanout, "", nil)
-		if err != nil {
-			continue
-		}
-		body, err := readOK(resp)
-		if err != nil {
-			continue
-		}
+		body, err := s.node.Get(peer, path, tenant, mesh.ForwardFanout)
 		var lr ListResponse
-		if json.Unmarshal(body, &lr) != nil {
+		if err != nil || json.Unmarshal(body, &lr) != nil {
 			continue
 		}
 		for _, r := range lr.Runs {
@@ -743,14 +724,14 @@ func (s *server) scatterList(tenant string, q Query, params map[string][]string)
 	total := len(merged)
 	if q.Offset > 0 {
 		if q.Offset >= len(merged) {
-			return nil, total, nil
+			return nil, total
 		}
 		merged = merged[q.Offset:]
 	}
 	if q.Limit > 0 && len(merged) > q.Limit {
 		merged = merged[:q.Limit]
 	}
-	return merged, total, nil
+	return merged, total
 }
 
 func parseSig(v string) (uint64, error) {
@@ -783,43 +764,40 @@ func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 	return false
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	start := time.Now()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	tv := s.a.Tenant(tenant)
+func (s *server) serveStats(w http.ResponseWriter, r *http.Request, tv TenantView, id string) error {
 	run, err := tv.Resolve(id)
 	if err != nil {
-		if strings.Contains(err.Error(), "not found") && s.proxyRead(w, r, tenant, id, "/runs/"+id+"/stats") {
-			return
-		}
-		s.fail(w, failCode(err), "%v", err)
-		return
+		return err
 	}
 	// The report is a pure function of the immutable payload, so the
 	// content address is its ETag.
 	if notModified(w, r, `"stats-`+run.ID+`"`) {
-		return
+		return nil
 	}
 	f, _, err := tv.Get(run.ID)
 	if err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
+		return err
 	}
 	rep, err := zan.Analyze(f, zan.Options{})
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "%v", err)
-		return
+		return statusError{http.StatusInternalServerError, err}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(StatsResponse{ID: run.ID, Report: rep}) //nolint:errcheck
-	s.hQueries.Observe(time.Since(start).Nanoseconds())
+	writeJSON(w, StatsResponse{ID: run.ID, Report: rep})
+	return nil
 }
 
+// edgesResult is the JSON answer to PUT /runs/{id}/edges.
+type edgesResult struct {
+	ID    string `json:"id"`
+	Edges int    `json:"edges"`
+}
+
+// handleEdgesPut attaches a sidecar. Through the mesh it goes to every
+// peer that may hold the run (replicate over mesh.Node.ReadOrder: its
+// owners, plus any off-ring fallback replica), so a push through any
+// peer succeeds and the sidecar survives an owner's death at R>=2.
+// Owners that lack the run converge via the anti-entropy sweep, which
+// replicates sidecars alongside runs.
 func (s *server) handleEdgesPut(w http.ResponseWriter, r *http.Request) {
 	s.mIngestReqs.Inc()
 	tenant, ok := s.tenantOf(w, r)
@@ -831,33 +809,16 @@ func (s *server) handleEdgesPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if s.node != nil && !s.forwarded(r) {
-		s.fanoutEdges(w, tenant, id, payload)
+	tv := s.a.Tenant(tenant)
+	if s.node == nil || s.forwarded(r) {
+		n, run, err := tv.PutEdges(id, payload)
+		if err != nil {
+			s.fail(w, failCode(err), "%v", err)
+			return
+		}
+		writeJSON(w, edgesResult{ID: run.ID, Edges: n})
 		return
 	}
-	n, run, err := s.a.Tenant(tenant).PutEdges(id, payload)
-	if err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	s.writeEdgesResult(w, run.ID, n)
-}
-
-func (s *server) writeEdgesResult(w http.ResponseWriter, id string, edges int) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct { //nolint:errcheck
-		ID    string `json:"id"`
-		Edges int    `json:"edges"`
-	}{ID: id, Edges: edges})
-}
-
-// fanoutEdges replicates an edge-sidecar PUT across the mesh, mirroring
-// fanoutPut: the sidecar lands on every peer that holds the run (its
-// owners, plus any off-ring fallback replica), so a push through a
-// non-owner peer succeeds and the sidecar survives an owner's death at
-// R>=2. Peers that own the run but currently lack it converge via the
-// anti-entropy sweep, which replicates sidecars alongside runs.
-func (s *server) fanoutEdges(w http.ResponseWriter, tenant, id string, payload []byte) {
 	s.mFanouts.Inc()
 	// Validate once at the edge so a malformed sidecar fails 400
 	// regardless of where the run lives.
@@ -865,79 +826,41 @@ func (s *server) fanoutEdges(w http.ResponseWriter, tenant, id string, payload [
 		s.fail(w, http.StatusBadRequest, "store: edges: %v", err)
 		return
 	}
-
-	resultID, resultEdges := "", 0
-	stored := 0
-	var lastErr error
-
 	// Local first: a hit resolves a prefix reference to the full
-	// content address, so the ring walk below targets the true owners.
-	if n, run, err := s.a.Tenant(tenant).PutEdges(id, payload); err == nil {
-		resultID, resultEdges = run.ID, n
-		stored++
+	// content address, so the ring walk targets the true owners.
+	n, run, err := tv.PutEdges(id, payload)
+	switch {
+	case err == nil:
 		id = run.ID
-	} else if !strings.Contains(err.Error(), "not found") {
+	case !errors.Is(err, ErrNotFound):
 		s.fail(w, failCode(err), "%v", err)
 		return
 	}
-
-	for _, peer := range ownersThenRest(s.node, id) {
-		resp, err := s.node.Do(http.MethodPut, peer, "/runs/"+id+"/edges", tenant, mesh.ForwardFanout,
-			"application/x-ndjson", bytes.NewReader(payload))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			stored++
-			if resultID == "" {
-				var out struct {
-					ID    string `json:"id"`
-					Edges int    `json:"edges"`
-				}
-				if json.Unmarshal(body, &out) == nil && out.ID != "" {
-					resultID, resultEdges = out.ID, out.Edges
-				}
-			}
-		case http.StatusNotFound:
-			// That peer simply doesn't hold the run.
-		default:
-			lastErr = fmt.Errorf("%s: %s: %s", peer, resp.Status, strings.TrimSpace(string(body)))
-		}
-	}
-
-	if stored == 0 {
-		if lastErr != nil {
-			s.fail(w, http.StatusBadGateway, "edges %s: no peer stored the sidecar: %v", id, lastErr)
-			return
-		}
+	res := edgesResult{ID: run.ID, Edges: n}
+	rep := s.replicate(s.node.ReadOrder(id), "/runs/"+id+"/edges", tenant, "application/x-ndjson", payload, http.StatusNotFound)
+	switch {
+	case err == nil:
+	case rep.stored > 0:
+		json.Unmarshal(rep.answer, &res) //nolint:errcheck — an empty result is still a success
+	case rep.failed > 0:
+		s.fail(w, http.StatusBadGateway, "edges %s: no peer stored the sidecar: %v", id, rep.err)
+		return
+	default:
 		s.fail(w, http.StatusNotFound, "store: run %q not found", id)
 		return
 	}
-	s.writeEdgesResult(w, resultID, resultEdges)
+	writeJSON(w, res)
 }
 
-func (s *server) handleEdgesGet(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	payload, _, err := s.a.Tenant(tenant).EdgesPayload(id)
+func (s *server) serveEdges(w http.ResponseWriter, r *http.Request, tv TenantView, id string) error {
+	payload, _, err := tv.EdgesPayload(id)
 	if err != nil {
-		if strings.Contains(err.Error(), "not found") && s.proxyRead(w, r, tenant, id, "/runs/"+id+"/edges") {
-			return
-		}
-		s.fail(w, failCode(err), "%v", err)
-		return
+		return err
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	w.Write(payload) //nolint:errcheck — client gone is fine
+	return nil
 }
 
 // WavesResponse is the JSON shape of GET /runs/{id}/waves: the idle-wave
@@ -947,31 +870,18 @@ type WavesResponse struct {
 	Report *wave.Report `json:"report"`
 }
 
-func (s *server) handleWaves(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	start := time.Now()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
+func (s *server) serveWaves(w http.ResponseWriter, r *http.Request, tv TenantView, id string) error {
 	cols := 0
 	if v := r.URL.Query().Get("cols"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			s.fail(w, http.StatusBadRequest, "bad cols %q: want a non-negative integer", v)
-			return
+			return fmt.Errorf("bad cols %q: want a non-negative integer", v)
 		}
 		cols = n
 	}
-	id := r.PathValue("id")
-	tv := s.a.Tenant(tenant)
 	sidecar, run, err := tv.EdgesPayload(id)
 	if err != nil {
-		if strings.Contains(err.Error(), "not found") && s.proxyRead(w, r, tenant, id, "/runs/"+id+"/waves") {
-			return
-		}
-		s.fail(w, failCode(err), "%v", err)
-		return
+		return err
 	}
 	// Unlike the trace payload the sidecar is replaceable, so the ETag
 	// must cover its bytes (plus the detector's cols knob), not just
@@ -980,16 +890,14 @@ func (s *server) handleWaves(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(sum, "%s|%d|", run.ID, cols)
 	sum.Write(sidecar)
 	if notModified(w, r, `"waves-`+hex.EncodeToString(sum.Sum(nil)[:16])+`"`) {
-		return
+		return nil
 	}
 	rep, _, err := tv.Waves(run.ID, cols)
 	if err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
+		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(WavesResponse{ID: run.ID, Report: rep}) //nolint:errcheck
-	s.hQueries.Observe(time.Since(start).Nanoseconds())
+	writeJSON(w, WavesResponse{ID: run.ID, Report: rep})
+	return nil
 }
 
 // DiffResponse is the JSON shape of GET /runs/{a}/diff/{b}: the
@@ -1085,8 +993,7 @@ func (s *server) handleDiff(w http.ResponseWriter, r *http.Request) {
 			resp.SiteCountDelta[fmt.Sprintf("%#x", site)] = delta
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck
+	writeJSON(w, resp)
 	s.hQueries.Observe(time.Since(start).Nanoseconds())
 }
 
@@ -1127,8 +1034,7 @@ func (s *server) handleLiveDeltas(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(obs.Ack{AckSeq: ackSeq}) //nolint:errcheck
+	writeJSON(w, obs.Ack{AckSeq: ackSeq})
 }
 
 func (s *server) handleLiveList(w http.ResponseWriter, r *http.Request) {
@@ -1143,8 +1049,7 @@ func (s *server) handleLiveList(w http.ResponseWriter, r *http.Request) {
 	if resp.Sessions == nil {
 		resp.Sessions = []LiveSummary{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck
+	writeJSON(w, resp)
 }
 
 func (s *server) handleLiveGet(w http.ResponseWriter, r *http.Request) {
@@ -1159,8 +1064,7 @@ func (s *server) handleLiveGet(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, failCode(err), "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
+	writeJSON(w, v)
 }
 
 func (s *server) handleLiveWatch(w http.ResponseWriter, r *http.Request) {
@@ -1187,8 +1091,7 @@ func (s *server) handleLiveWatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, failCode(err), "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
+	writeJSON(w, v)
 }
 
 // longPollWait resolves the ?timeout= parameter against the server's
@@ -1240,10 +1143,7 @@ func (s *server) handleCQPut(w http.ResponseWriter, r *http.Request) {
 	// stall the registration for the full request budget.
 	if s.node != nil && !s.forwarded(r) {
 		body, _ := json.Marshal(stored)
-		broadcast(s.node, func(peer string) (*http.Response, error) {
-			return s.node.Broadcast(http.MethodPut, peer, "/cq", tenant, mesh.ForwardFanout,
-				"application/json", bytes.NewReader(body))
-		})
+		s.node.Broadcast(http.MethodPut, "/cq", tenant, "application/json", body)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
@@ -1267,8 +1167,7 @@ func (s *server) handleCQList(w http.ResponseWriter, r *http.Request) {
 	if specs == nil {
 		specs = []cq.Spec{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(specs) //nolint:errcheck
+	writeJSON(w, specs)
 }
 
 func (s *server) handleCQDelete(w http.ResponseWriter, r *http.Request) {
@@ -1286,9 +1185,7 @@ func (s *server) handleCQDelete(w http.ResponseWriter, r *http.Request) {
 		// Peers that miss the broadcast converge anyway: Delete leaves a
 		// tombstone whose stamp out-ranks the live spec, and the
 		// anti-entropy merge propagates it instead of resurrecting.
-		broadcast(s.node, func(peer string) (*http.Response, error) {
-			return s.node.Broadcast(http.MethodDelete, peer, "/cq/"+name, tenant, mesh.ForwardFanout, "", nil)
-		})
+		s.node.Broadcast(http.MethodDelete, "/cq/"+name, tenant, "", nil)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -1314,8 +1211,7 @@ func (s *server) handleCQEvents(w http.ResponseWriter, r *http.Request) {
 	} else {
 		view = s.cq.Feed(tenant)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(view) //nolint:errcheck
+	writeJSON(w, view)
 }
 
 // handleCQEventPost receives a peer's event broadcast. Forwarded-only
@@ -1366,8 +1262,7 @@ func (s *server) handleMeshManifest(w http.ResponseWriter, r *http.Request) {
 		}
 		return entries[i].ID < entries[j].ID
 	})
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(entries) //nolint:errcheck
+	writeJSON(w, entries)
 }
 
 // MeshStatus is the JSON shape of GET /mesh/status.
@@ -1389,13 +1284,11 @@ func (s *server) handleMeshStatus(w http.ResponseWriter, r *http.Request) {
 		st.Peers = s.node.Peers()
 		st.Replicas = s.node.Replicas()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st) //nolint:errcheck
+	writeJSON(w, st)
 }
 
 func (s *server) handleMeshSweep(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.node.Sweep(s.a.MeshTarget(), s.cq)
-	w.Header().Set("Content-Type", "application/json")
 	out := struct {
 		mesh.SweepReport
 		Error string `json:"error,omitempty"`
@@ -1403,5 +1296,5 @@ func (s *server) handleMeshSweep(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		out.Error = err.Error()
 	}
-	json.NewEncoder(w).Encode(out) //nolint:errcheck
+	writeJSON(w, out)
 }

@@ -58,6 +58,15 @@ const (
 // The HTTP layer maps it to 429 + Retry-After.
 var ErrQuotaExceeded = errors.New("store: tenant storage quota exceeded")
 
+// ErrNotFound and ErrAmbiguous mark a lookup that named no run (or
+// sidecar, or live session) and a prefix that named several. They are
+// wrapped into the descriptive error; the HTTP layer maps them to 404
+// (relaying run-scoped reads to the mesh first) and 409.
+var (
+	ErrNotFound  = errors.New("not found")
+	ErrAmbiguous = errors.New("ambiguous")
+)
+
 // Options configures an Archive.
 type Options struct {
 	// Gzip compresses stored segments on disk. Reads transparently
@@ -496,7 +505,7 @@ func (a *Archive) resolve(tenant, id string) (Run, error) {
 		for k, r := range runs {
 			if strings.HasPrefix(k, id) {
 				if found != nil {
-					return Run{}, fmt.Errorf("store: run %q is ambiguous", id)
+					return Run{}, fmt.Errorf("store: run %q is %w", id, ErrAmbiguous)
 				}
 				found = r
 			}
@@ -505,7 +514,7 @@ func (a *Archive) resolve(tenant, id string) (Run, error) {
 			return *found, nil
 		}
 	}
-	return Run{}, fmt.Errorf("store: run %q not found", id)
+	return Run{}, fmt.Errorf("store: run %q %w", id, ErrNotFound)
 }
 
 // Payload returns the canonical (uncompressed) segment bytes of a
@@ -643,7 +652,7 @@ func (a *Archive) deleteRun(tenant, id string) error {
 	defer a.mu.Unlock()
 	r, ok := a.runs[tenant][id]
 	if !ok {
-		return fmt.Errorf("store: run %q not found", id)
+		return fmt.Errorf("store: run %q %w", id, ErrNotFound)
 	}
 	delete(a.runs[tenant], id)
 	a.used[tenant] -= r.RawBytes
