@@ -4,10 +4,14 @@ GO ?= go
 
 all: check test
 
-# check: everything must build, vet clean, and be gofmt'd.
+# check: everything must build, vet clean, and be gofmt'd. perfbench/ is
+# its own module (root ./... never reaches it), so it is built and vetted
+# separately: an internal API change must not break the benchmark
+# silently.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) build -o /dev/null . && $(GO) vet .
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 

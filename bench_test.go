@@ -115,7 +115,7 @@ func BenchmarkAblationVote(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := mpi.Run(mpi.Config{P: p}, func(proc *mpi.Proc) {
 					for v := 0; v < 50; v++ {
-						proc.MarkerComm().RawAllreduceU64(uint64(proc.Rank()), mpi.OpSum)
+						mpi.Members(proc, nil).AllreduceU64(proc.MarkerComm().CollTag(), uint64(proc.Rank()), mpi.OpSum)
 					}
 				})
 				if err != nil {

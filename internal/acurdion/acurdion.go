@@ -100,8 +100,8 @@ func (t *Tracer) Finalize() {
 		Ranks: ranklist.SingleRank(p.Rank()),
 		Sig:   t.rec.Win.Triple(),
 	}
-	top := cluster.DistributedSelect(p, self, t.opt.K, t.opt.Algo,
-		1<<52, vtime.CatCluster)
+	top := cluster.DistributedSelect(p, self, nil, t.opt.K, t.opt.Algo,
+		mpi.AcurdionClusterTag, vtime.CatCluster)
 
 	leads := make([]int, 0, len(top))
 	isLead := false
@@ -126,11 +126,11 @@ func (t *Tracer) Finalize() {
 			trace.RewriteRanks(mine, myCluster)
 		}
 		global = tracer.MergeOverTree(p, leads, mine, t.opt.Filter,
-			tracer.MergeTag(1<<20), vtime.CatInterComp)
+			mpi.MergeTag(1<<20), vtime.CatInterComp)
 	}
 
 	// Route to rank 0 when the lead-tree root is another rank.
-	const tag = 1<<52 | 1
+	const tag = mpi.AcurdionRouteTag
 	rootLead := leads[0]
 	switch {
 	case rootLead == p.Rank() && rootLead != 0:

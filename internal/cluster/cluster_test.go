@@ -267,7 +267,7 @@ func TestDistributedSelect(t *testing.T) {
 			// Three behavior groups by rank range.
 			Sig: sig.Triple{CallPath: 42, Src: uint64(p.Rank() / 5 * 10000), Dest: 0},
 		}
-		results[p.Rank()] = DistributedSelect(p, self, K, KFarthest, 1<<50, vtime.CatCluster)
+		results[p.Rank()] = DistributedSelect(p, self, nil, K, KFarthest, 1<<50, vtime.CatCluster)
 	})
 	if err != nil {
 		t.Fatal(err)

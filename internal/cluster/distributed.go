@@ -6,27 +6,18 @@ import (
 )
 
 // DistributedSelect runs the distributed clustering of Algorithm 3's
-// "Clustering" branch over all ranks: each rank contributes one item
-// (itself), items flow up a binomial radix tree, every internal node
-// caps its working set at k with SelectLeads, the root makes the final
-// selection, and the Top-K list is broadcast to everyone.
+// "Clustering" branch: each member contributes one item (itself), items
+// flow up a binomial radix tree, every internal node caps its working
+// set at k with SelectLeads, the root makes the final selection, and the
+// Top-K list is broadcast to every member.
 //
-// Communication wait time and distance-computation work are charged to
-// the given ledger category. The call is collective over the world
-// communicator; tag must be unique per invocation and identical across
-// ranks.
-func DistributedSelect(p *mpi.Proc, self Item, k int, algo Algorithm, tag int, cat vtime.Category) []Item {
-	return DistributedSelectMembers(p, self, nil, k, algo, tag, cat)
-}
-
-// DistributedSelectMembers is DistributedSelect restricted to an
-// explicit member list (sorted world ranks), the form the fault-tolerant
-// path uses once ranks have crashed: the radix tree spans only the
-// survivors, and the Top-K broadcast reaches only them. A nil members
-// list means all ranks. Non-members must not call it.
-func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo Algorithm, tag int, cat vtime.Category) []Item {
+// members is an explicit list of sorted world ranks — the survivors,
+// once ranks have crashed — or nil for all ranks. Non-members must not
+// call it. Communication wait time and distance-computation work are
+// charged to the given ledger category. The call is collective over the
+// members; tag must be unique per invocation and identical across ranks.
+func DistributedSelect(p *mpi.Proc, self Item, members []int, k int, algo Algorithm, tag int, cat vtime.Category) []Item {
 	model := p.Model()
-	world := p.World()
 	items := []Item{self}
 	// Default causal label (tag distinguishes invocations); core's
 	// explicit "cluster" context, when set, takes precedence.
@@ -38,33 +29,7 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 	cSelections := o.Counter("cluster_selections_total")
 	cItems := o.Counter("cluster_items_gathered_total")
 	cWorking := o.Histogram("cluster_working_set_items")
-
-	if members == nil {
-		members = make([]int, p.Size())
-		for i := range members {
-			members[i] = i
-		}
-	}
-	pos := mpi.TreePos(members, p.Rank())
-	for _, childPos := range mpi.TreeChildPositions(pos, len(members)) {
-		msg := world.RawRecv(members[childPos], tag)
-		p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
-		childItems, _ := msg.Payload.([]Item)
-		items = append(items, childItems...)
-		cItems.Add(uint64(len(childItems)))
-		if len(items) > k {
-			cWorking.Observe(int64(len(items)))
-			res := SelectLeads(items, k, algo)
-			items = res.Top
-			cSelections.Inc()
-			cDistances.Add(uint64(res.Distances))
-			p.ChargeOverhead(cat, vtime.Duration(res.Distances)*model.ClusterPerItem)
-		}
-	}
-	if parent := mpi.TreeParentPos(pos); parent >= 0 {
-		world.RawSend(members[parent], tag, ItemsBytes(items), items)
-		p.Ledger.Charge(cat, model.Alpha)
-	} else {
+	selectTop := func() {
 		cWorking.Observe(int64(len(items)))
 		res := SelectLeads(items, k, algo)
 		items = res.Top
@@ -73,12 +38,28 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 		p.ChargeOverhead(cat, vtime.Duration(res.Distances)*model.ClusterPerItem)
 	}
 
-	var top []Item
-	if len(members) == p.Size() {
-		top = world.RawBcastObj(0, items, ItemsBytes(items)).([]Item)
+	tree := mpi.Members(p, members)
+	root := tree.Reduce(tag, func(msg mpi.Message) {
+		p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
+		childItems, _ := msg.Payload.([]Item)
+		items = append(items, childItems...)
+		cItems.Add(uint64(len(childItems)))
+		if len(items) > k {
+			selectTop()
+		}
+	}, func() (int, any) { return ItemsBytes(items), items })
+	if root {
+		selectTop()
 	} else {
-		top = mpi.GroupBcastObj(p, members, tag|1, items, ItemsBytes(items)).([]Item)
+		p.Ledger.Charge(cat, model.Alpha)
 	}
+
+	// The whole world broadcasts in CommWorld's collective tag space.
+	btag := tag | 1
+	if members == nil {
+		btag = p.World().CollTag()
+	}
+	top := tree.BcastObj(btag, items, ItemsBytes(items)).([]Item)
 	p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
 	return top
 }

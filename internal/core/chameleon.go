@@ -397,24 +397,25 @@ func (c *Chameleon) transition() State {
 	}
 	// The Reduce+Bcast vote: book its per-rank share of the O(log P)
 	// message hops (the synchronization stall is already on the clock).
-	// Under shrunken membership the vote runs over the survivors only and
-	// carries the membership epoch in the payload's high bits, so a rank
-	// voting on a stale view is caught immediately instead of corrupting
-	// the mismatch sum.
-	var glob uint64
+	// With full membership the vote runs over the whole world in the
+	// marker communicator's tag space; under shrunken membership it runs
+	// over the survivors only. The payload's high bits carry the
+	// membership epoch (zero while membership is full), so a rank voting
+	// on a stale view is caught immediately instead of corrupting the
+	// mismatch sum.
 	restore := c.p.CausalContext("vote", c.markerCalls)
-	if alive := c.p.AliveRanks(); alive == nil {
-		glob = c.p.MarkerComm().RawAllreduceU64(mismatch, mpi.OpSum)
-	} else {
-		epoch := uint64(c.p.Epoch())
-		tot := mpi.GroupAllreduceU64(c.p, alive, voteTag(c.markerCalls),
-			mismatch|epoch<<voteEpochShift, mpi.OpSum)
-		if got, want := tot>>voteEpochShift, epoch*uint64(len(alive)); got != want {
-			panic(fmt.Sprintf("core: vote epoch sum %d, want %d (rank %d epoch %d)",
-				got, want, c.p.Rank(), epoch))
-		}
-		glob = tot & (1<<voteEpochShift - 1)
+	alive := c.p.AliveRanks()
+	tag := mpi.VoteTag(c.markerCalls)
+	if alive == nil {
+		tag = c.p.MarkerComm().CollTag()
 	}
+	epoch := uint64(c.p.Epoch())
+	tot := mpi.Members(c.p, alive).AllreduceU64(tag, mismatch|epoch<<voteEpochShift, mpi.OpSum)
+	if got, want := tot>>voteEpochShift, epoch*uint64(len(alive)); got != want {
+		panic(fmt.Sprintf("core: vote epoch sum %d, want %d (rank %d epoch %d)",
+			got, want, c.p.Rank(), epoch))
+	}
+	glob := tot & (1<<voteEpochShift - 1)
 	restore()
 	hops := vtime.Duration(vtime.Log2Ceil(c.groupSize()))
 	c.p.Ledger.Charge(vtime.CatMarker, hops*(model.Alpha+model.CollectivePerLevel))
@@ -460,8 +461,8 @@ func (c *Chameleon) runClustering() {
 		Sig:   c.curSig,
 	}
 	restore := p.CausalContext("cluster", c.markerCalls)
-	top := cluster.DistributedSelectMembers(p, self, p.AliveRanks(),
-		c.opt.K, c.opt.Algo, clusterTag(c.flushRound), vtime.CatCluster)
+	top := cluster.DistributedSelect(p, self, p.AliveRanks(),
+		c.opt.K, c.opt.Algo, mpi.ClusterTag(c.flushRound), vtime.CatCluster)
 	restore()
 
 	c.clusters = append(c.clusters[:0], top...)
@@ -635,22 +636,29 @@ func (c *Chameleon) flushLeads(cause string) {
 	model := p.Model()
 	round := c.flushRound
 	c.flushRound++
+	// Live progress: the flush's cost lands on the next window's
+	// barrier arrivals, which the desync detector must not judge.
+	c.o.ProgressBoard().Flushed(p.Rank(), uint64(c.markerCalls))
 	// Name the merge tree's edges after the flush cause so the straggler
 	// report separates initial, phase-change, failover, and final merges.
 	defer p.CausalContext("merge:"+cause, round)()
 
 	var partial []*trace.Node
-	if c.isLead || (len(c.leads) == 0 && p.Rank() == 0) {
+	switch {
+	case c.isLead:
 		mine := c.rec.TakePartial()
-		if c.isLead && c.myVariant {
+		if c.myVariant {
 			trace.ResolveEndpoints(mine, p.Rank(), p.Size())
 		}
-		if c.isLead && !c.myCluster.Empty() {
+		if !c.myCluster.Empty() {
 			trace.RewriteRanks(mine, c.myCluster)
 		}
 		partial = tracer.MergeOverTree(p, c.leads, mine,
-			c.opt.Filter, tracer.MergeTag(round+1), vtime.CatInterComp)
-	} else {
+			c.opt.Filter, mpi.MergeTag(round+1), vtime.CatInterComp)
+	case len(c.leads) == 0 && p.Rank() == 0:
+		// No lead tree yet: rank 0's partial is the whole merge.
+		partial = c.rec.TakePartial()
+	default:
 		// Non-lead partials go nowhere; recycle their nodes.
 		c.rec.DiscardPartial()
 	}
@@ -661,7 +669,7 @@ func (c *Chameleon) flushLeads(cause string) {
 	if len(c.leads) > 0 {
 		rootLead = c.leads[0]
 	}
-	tag := onlineTag(round)
+	tag := mpi.OnlineTag(round)
 	switch {
 	case rootLead == p.Rank() && rootLead != 0:
 		t0 := p.Clock.Now()
@@ -761,12 +769,6 @@ func (c *Chameleon) Finalize() {
 		c.col.Online = c.online.Seq
 	}
 }
-
-func clusterTag(round int) int { return 1<<54 | round<<3 }
-func onlineTag(round int) int  { return 1<<53 | round<<3 }
-
-// voteTag namespaces the shrunken-membership vote per marker call.
-func voteTag(marker int) int { return 1<<51 | marker<<4 }
 
 // voteEpochShift positions the membership epoch in the vote payload's
 // high bits. The mismatch sum is bounded by P < 2^20, and the epoch sum

@@ -29,7 +29,7 @@ func runCausal(t *testing.T, p int, body func(pr *Proc)) []obs.Edge {
 	return out
 }
 
-// TestTreeEdgeCapture verifies every hop of treeBcast and treeReduceU64
+// TestTreeEdgeCapture verifies every hop of the bcast and reduce walks
 // produces exactly one matched send/recv edge pair, for power-of-two and
 // non-power-of-two rank counts. The binomial schedule rooted at 0 makes
 // the expected hop set explicit: bcast sends parent→child
@@ -40,9 +40,9 @@ func TestTreeEdgeCapture(t *testing.T) {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 			edges := runCausal(t, p, func(pr *Proc) {
 				w := pr.World()
-				w.RawBcastU64(0, 42)        // tag seq 0
-				w.RawReduceU64(0, 7, OpSum) // tag seq 1
-				w.RawBarrier()              // tag seq 2, phases 0+1
+				w.tree(0).BcastObj(w.CollTag(), uint64(42), 8) // tag seq 0
+				w.tree(0).ReduceU64(w.CollTag(), 7, OpSum)     // tag seq 1
+				w.rawBarrier()                                 // tag seq 2, phases 0+1
 			})
 			if p == 1 {
 				if len(edges) != 0 {
@@ -91,8 +91,8 @@ func TestTreeEdgeCapture(t *testing.T) {
 func TestCausalDisabled(t *testing.T) {
 	body := func(pr *Proc) {
 		w := pr.World()
-		w.RawBcastU64(0, 1)
-		w.RawBarrier()
+		w.tree(0).BcastObj(w.CollTag(), uint64(1), 8)
+		w.rawBarrier()
 	}
 	if _, err := Run(Config{P: 4}, body); err != nil {
 		t.Fatal(err)
@@ -121,12 +121,12 @@ func TestCausalContextLabels(t *testing.T) {
 		restore := pr.CausalContext("vote", 3)
 		// An inner default must NOT override the explicit outer name.
 		restoreInner := pr.CausalContextDefault("merge", 9)
-		w.RawBcastU64(0, 1)
+		w.tree(0).BcastObj(w.CollTag(), uint64(1), 8)
 		restoreInner()
 		restore()
 		// With no outer context the default applies.
 		defer pr.CausalContextDefault("merge", 9)()
-		w.RawBcastU64(0, 2)
+		w.tree(0).BcastObj(w.CollTag(), uint64(2), 8)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,13 +21,6 @@ var (
 	OpBor ReduceOp = func(a, b uint64) uint64 { return a | b }
 )
 
-// collTag derives a unique internal tag for the seq-th collective on
-// communicator id, phase in [0,16). All ranks call collectives on a
-// communicator in the same order (an MPI requirement), so tags agree.
-func collTag(id CommID, seq, phase int) int {
-	return int(id)<<40 | seq<<4 | phase
-}
-
 // nextSeq advances this rank's collective sequence number for the
 // communicator.
 func (c *Comm) nextSeq() int {
@@ -36,11 +29,11 @@ func (c *Comm) nextSeq() int {
 	return s
 }
 
-// vrank maps a communicator rank to its position in a tree rooted at
-// root.
-func vrank(rank, root, p int) int { return (rank - root + p) % p }
-
-func unvrank(vr, root, p int) int { return (vr + root) % p }
+// CollTag consumes the communicator's next collective sequence number and
+// returns its internal tag (phase 0; a second phase uses tag|1). The
+// tracing layer uses it to run a member-tree collective in the
+// communicator's own tag space.
+func (c *Comm) CollTag() int { return collTag(c.id, c.nextSeq(), 0) }
 
 // internal returns the untraced alias of this communicator used for
 // collective internals (separate matching context, like an MPI
@@ -49,162 +42,137 @@ func (c *Comm) internal() Comm {
 	return Comm{p: c.p, id: CommInternal, group: c.group, self: c.self}
 }
 
-// treeBcast broadcasts payload down a binomial tree rooted at root and
-// returns the (possibly received) payload on every rank.
-func (c *Comm) treeBcast(root, tag, bytes int, payload any) any {
-	p := len(c.group)
-	vr := vrank(c.self, root, p)
-	in := c.internal()
-	model := c.p.rt.model
+// --- collectives over a tree ------------------------------------------------
+//
+// Each received tree hop advances the clock by CollectivePerLevel. A
+// rank outside the tree returns at once: its own value, nil, or nothing.
 
-	// Canonical binomial broadcast: a non-root rank receives from
-	// vr - lowbit(vr); every rank then forwards to vr + mask for each
-	// mask below its receive mask.
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			src := unvrank(vr-mask, root, p)
-			msg := in.rawRecv(src, tag)
-			payload = msg.Payload
-			bytes = msg.Bytes
-			c.p.Clock.Advance(model.CollectivePerLevel)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vr+mask < p {
-			in.rawSend(unvrank(vr+mask, root, p), tag, bytes, payload)
-		}
-		mask >>= 1
-	}
-	return payload
+// hop charges one received tree level of a collective.
+func (t Tree) hop() { t.in.p.Clock.Advance(t.in.p.rt.model.CollectivePerLevel) }
+
+// ReduceU64 reduces val toward the root; the reduced value is meaningful
+// only at the root (second return true). Uses tag.
+func (t Tree) ReduceU64(tag int, val uint64, op ReduceOp) (uint64, bool) {
+	root := t.Reduce(tag, func(m Message) {
+		val = op(val, m.Payload.(uint64))
+		t.hop()
+	}, func() (int, any) { return 8, val })
+	return val, root
 }
 
-// treeReduceU64 reduces val to root over a binomial tree; the reduced
-// value is meaningful only at root.
-func (c *Comm) treeReduceU64(root, tag int, val uint64, op ReduceOp) uint64 {
-	p := len(c.group)
-	vr := vrank(c.self, root, p)
-	in := c.internal()
-	model := c.p.rt.model
-
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			dst := unvrank(vr&^mask, root, p)
-			in.rawSend(dst, tag, 8, val)
-			break
-		}
-		if vr|mask < p {
-			src := unvrank(vr|mask, root, p)
-			msg := in.rawRecv(src, tag)
-			val = op(val, msg.Payload.(uint64))
-			c.p.Clock.Advance(model.CollectivePerLevel)
-		}
-		mask <<= 1
-	}
-	return val
+// BcastObj broadcasts obj (of the given payload size) from the root and
+// returns it on every member. Uses tag.
+func (t Tree) BcastObj(tag int, obj any, bytes int) any {
+	return t.bcast(tag, bytes, obj, t.hop)
 }
+
+// AllreduceU64 reduces val to the root and broadcasts the result, the
+// Reduce+Bcast structure Algorithm 1 prescribes. Uses tags tag and tag|1.
+func (t Tree) AllreduceU64(tag int, val uint64, op ReduceOp) uint64 {
+	r, _ := t.ReduceU64(tag, val, op)
+	return t.bcast(tag|1, 8, r, t.hop).(uint64)
+}
+
+// Barrier synchronizes the members: an allreduce of zero. Uses tags tag
+// and tag|1.
+func (t Tree) Barrier(tag int) { t.AllreduceU64(tag, 0, OpSum) }
 
 type gatherPair struct {
 	Rank int
 	Obj  any
 }
 
-// treeGather collects every rank's (rank, obj) contribution at root via a
-// binomial tree; only root's return value is meaningful (indexed by comm
-// rank).
-func (c *Comm) treeGather(root, tag, bytes int, obj any) []any {
-	p := len(c.group)
-	vr := vrank(c.self, root, p)
-	in := c.internal()
-	model := c.p.rt.model
-
-	acc := []gatherPair{{Rank: c.self, Obj: obj}}
-	accBytes := bytes
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			dst := unvrank(vr&^mask, root, p)
-			in.rawSend(dst, tag, accBytes, acc)
-			return nil
-		}
-		if vr|mask < p {
-			src := unvrank(vr|mask, root, p)
-			msg := in.rawRecv(src, tag)
-			acc = append(acc, msg.Payload.([]gatherPair)...)
-			accBytes += msg.Bytes
-			c.p.Clock.Advance(model.CollectivePerLevel)
-		}
-		mask <<= 1
-	}
-	if vr != 0 {
+// GatherObj collects every member's contribution at the root, in a slice
+// indexed by member position (by comm rank for a communicator's tree);
+// nil elsewhere. Uses tag.
+func (t Tree) GatherObj(tag, bytes int, obj any) []any {
+	if t.pos < 0 {
 		return nil
 	}
-	out := make([]any, p)
+	acc := []gatherPair{{Rank: t.index(), Obj: obj}}
+	if !t.Reduce(tag, func(m Message) {
+		acc = append(acc, m.Payload.([]gatherPair)...)
+		bytes += m.Bytes
+		t.hop()
+	}, func() (int, any) { return bytes, acc }) {
+		return nil
+	}
+	out := make([]any, t.n)
 	for _, pr := range acc {
 		out[pr.Rank] = pr.Obj
 	}
 	return out
 }
 
-// --- raw (untraced) collectives for the tracing layer ----------------------
+// Allgather gathers every member's contribution at the root and
+// broadcasts the slice back. Uses tags tag and tag|1.
+func (t Tree) Allgather(tag, bytes int, obj any) []any {
+	out, _ := t.bcast(tag|1, bytes*t.n, t.GatherObj(tag, bytes, obj), t.hop).([]any)
+	return out
+}
 
-// RawBarrier synchronizes all ranks of the communicator (reduce+bcast of
-// an empty payload) without interposition.
-func (c *Comm) RawBarrier() { c.rawBarrier() }
+// Scatter sends payloads[i] (nil payloads: synthetic) from the root to
+// the member at index i (member position, or comm rank), in index order,
+// and returns this rank's element. Uses tag.
+func (t Tree) Scatter(tag, bytes int, payloads []any) any {
+	switch {
+	case t.pos < 0:
+		return nil
+	case t.pos > 0:
+		return t.in.rawRecv(t.rank(0), tag).Payload
+	}
+	var mine any
+	for i := 0; i < t.n; i++ {
+		var obj any
+		if payloads != nil {
+			obj = payloads[i]
+		}
+		if i == t.root {
+			mine = obj
+			continue
+		}
+		t.in.rawSend(t.at(i), tag, bytes, obj)
+	}
+	return mine
+}
 
+// Alltoall performs a pairwise exchange of bytes with every other member
+// (payloads are synthetic; only the communication shape and cost
+// matter): in round r a member exchanges with index self XOR r when that
+// index exists, the power-of-two schedule generalized by skipping
+// out-of-range peers. Uses tag.
+func (t Tree) Alltoall(tag, bytes int) {
+	if t.pos < 0 {
+		return
+	}
+	self := t.index()
+	for r := 1; r < nextPow2(t.n); r++ {
+		if peer := self ^ r; peer < t.n {
+			t.in.rawSend(t.at(peer), tag, bytes, nil)
+			t.in.rawRecv(t.at(peer), tag)
+		}
+	}
+}
+
+func nextPow2(p int) int {
+	v := 1
+	for v < p {
+		v <<= 1
+	}
+	return v
+}
+
+// --- public (traced) communicator collectives -------------------------------
+
+// rawBarrier synchronizes all ranks of the communicator without
+// interposition: a reduce followed by an empty broadcast. Tree.Barrier
+// broadcasts the 8-byte sum instead; each hop's transfer time differs,
+// and recorded virtual times pin both.
 func (c *Comm) rawBarrier() {
-	seq := c.nextSeq()
-	c.treeReduceU64(0, collTag(c.id, seq, 0), 0, OpSum)
-	c.treeBcast(0, collTag(c.id, seq, 1), 0, nil)
-	// A barrier leaves every rank at (at least) the time the last rank
-	// reached it plus the tree traversal costs already charged.
+	t, tag := c.tree(0), c.CollTag()
+	t.ReduceU64(tag, 0, OpSum)
+	t.bcast(tag|1, 0, nil, t.hop)
 }
-
-// RawBcastU64 broadcasts v from root without interposition.
-func (c *Comm) RawBcastU64(root int, v uint64) uint64 {
-	return c.rawBcastU64(root, v)
-}
-
-func (c *Comm) rawBcastU64(root int, v uint64) uint64 {
-	seq := c.nextSeq()
-	return c.treeBcast(root, collTag(c.id, seq, 0), 8, v).(uint64)
-}
-
-// RawReduceU64 reduces v to root without interposition; only root's
-// return value is meaningful.
-func (c *Comm) RawReduceU64(root int, v uint64, op ReduceOp) uint64 {
-	seq := c.nextSeq()
-	return c.treeReduceU64(root, collTag(c.id, seq, 0), v, op)
-}
-
-// RawAllreduceU64 is Reduce followed by Bcast (the structure Algorithm 1
-// prescribes: "Sum all tempReduceVals using MPI_Reduce; MPI_Bcast ... by
-// rank root").
-func (c *Comm) RawAllreduceU64(v uint64, op ReduceOp) uint64 {
-	seq := c.nextSeq()
-	r := c.treeReduceU64(0, collTag(c.id, seq, 0), v, op)
-	return c.treeBcast(0, collTag(c.id, seq, 1), 8, r).(uint64)
-}
-
-// RawBcastObj broadcasts an opaque object of the given payload size from
-// root without interposition.
-func (c *Comm) RawBcastObj(root int, obj any, bytes int) any {
-	seq := c.nextSeq()
-	return c.treeBcast(root, collTag(c.id, seq, 0), bytes, obj)
-}
-
-// RawGatherObj gathers per-rank objects at root without interposition;
-// root receives a slice indexed by comm rank, others nil.
-func (c *Comm) RawGatherObj(root int, obj any, bytes int) []any {
-	seq := c.nextSeq()
-	return c.treeGather(root, collTag(c.id, seq, 0), bytes, obj)
-}
-
-// --- public (traced) collectives -------------------------------------------
 
 // Barrier synchronizes the communicator. Marker barriers additionally
 // consult the fault injector (when one is configured): a rank scheduled
@@ -227,8 +195,7 @@ func (c *Comm) Barrier() {
 func (c *Comm) Bcast(root, bytes int, payload any) any {
 	ci := &CallInfo{Op: OpBcast, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	out := c.treeBcast(root, collTag(c.id, seq, 0), bytes, payload)
+	out := c.tree(root).BcastObj(c.CollTag(), payload, bytes)
 	c.p.opEnd(ci, start)
 	return out
 }
@@ -238,8 +205,7 @@ func (c *Comm) Bcast(root, bytes int, payload any) any {
 func (c *Comm) Reduce(root, bytes int, val uint64, op ReduceOp) uint64 {
 	ci := &CallInfo{Op: OpReduce, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	out := c.treeReduceU64(root, collTag(c.id, seq, 0), val, op)
+	out, _ := c.tree(root).ReduceU64(c.CollTag(), val, op)
 	c.p.opEnd(ci, start)
 	return out
 }
@@ -248,9 +214,7 @@ func (c *Comm) Reduce(root, bytes int, val uint64, op ReduceOp) uint64 {
 func (c *Comm) Allreduce(bytes int, val uint64, op ReduceOp) uint64 {
 	ci := &CallInfo{Op: OpAllreduce, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: 0, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	r := c.treeReduceU64(0, collTag(c.id, seq, 0), val, op)
-	out := c.treeBcast(0, collTag(c.id, seq, 1), 8, r).(uint64)
+	out := c.tree(0).AllreduceU64(c.CollTag(), val, op)
 	c.p.opEnd(ci, start)
 	return out
 }
@@ -260,8 +224,7 @@ func (c *Comm) Allreduce(bytes int, val uint64, op ReduceOp) uint64 {
 func (c *Comm) Gather(root, bytes int, payload any) []any {
 	ci := &CallInfo{Op: OpGather, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	out := c.treeGather(root, collTag(c.id, seq, 0), bytes, payload)
+	out := c.tree(root).GatherObj(c.CollTag(), bytes, payload)
 	c.p.opEnd(ci, start)
 	return out
 }
@@ -270,75 +233,25 @@ func (c *Comm) Gather(root, bytes int, payload any) []any {
 func (c *Comm) Allgather(bytes int, payload any) []any {
 	ci := &CallInfo{Op: OpAllgather, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: 0, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	gathered := c.treeGather(root0, collTag(c.id, seq, 0), bytes, payload)
-	out := c.treeBcast(root0, collTag(c.id, seq, 1), bytes*len(c.group), gathered)
+	out := c.tree(0).Allgather(c.CollTag(), bytes, payload)
 	c.p.opEnd(ci, start)
-	if out == nil {
-		return nil
-	}
-	return out.([]any)
+	return out
 }
-
-const root0 = 0
 
 // Scatter distributes payloads[i] from root to comm rank i; returns this
 // rank's element.
 func (c *Comm) Scatter(root, bytes int, payloads []any) any {
 	ci := &CallInfo{Op: OpScatter, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	tag := collTag(c.id, seq, 0)
-	in := c.internal()
-	var mine any
-	if c.self == root {
-		if payloads != nil {
-			mine = payloads[root]
-		}
-		for r := range c.group {
-			if r == root {
-				continue
-			}
-			var obj any
-			if payloads != nil {
-				obj = payloads[r]
-			}
-			in.rawSend(r, tag, bytes, obj)
-		}
-	} else {
-		mine = in.rawRecv(root, tag).Payload
-	}
+	mine := c.tree(root).Scatter(c.CollTag(), bytes, payloads)
 	c.p.opEnd(ci, start)
 	return mine
 }
 
-// Alltoall performs a pairwise exchange of bytes with every other rank
-// (payloads are synthetic; only the communication shape and cost matter).
+// Alltoall performs a pairwise exchange of bytes with every other rank.
 func (c *Comm) Alltoall(bytes int) {
 	ci := &CallInfo{Op: OpAlltoall, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	tag := collTag(c.id, seq, 0)
-	in := c.internal()
-	p := len(c.group)
-	// Pairwise exchange: in round r, exchange with self XOR r (when that
-	// peer exists), the standard power-of-two schedule generalized by
-	// skipping out-of-range peers.
-	for r := 1; r < nextPow2(p); r++ {
-		peer := c.self ^ r
-		if peer >= p {
-			continue
-		}
-		in.rawSend(peer, tag, bytes, nil)
-		in.rawRecv(peer, tag)
-	}
+	c.tree(0).Alltoall(c.CollTag(), bytes)
 	c.p.opEnd(ci, start)
-}
-
-func nextPow2(p int) int {
-	v := 1
-	for v < p {
-		v <<= 1
-	}
-	return v
 }

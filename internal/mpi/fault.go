@@ -21,16 +21,6 @@ type crashExit struct {
 // user Dup IDs can never collide.
 const shrunkCommBase CommID = 1 << 20
 
-// faultTag namespaces the survivors' marker-barrier traffic per marker
-// so successive shrunken barriers can never cross-match. Bit 56 keeps it
-// clear of every other internal tag family.
-func faultTag(marker, phase int) int {
-	return 1<<56 | marker<<4 | phase
-}
-
-// groupFinalizeTag is the tag block for the survivors' finalize barrier.
-const groupFinalizeTag = 1<<56 | 1<<18
-
 // AliveRanks returns the sorted world ranks still alive at this rank's
 // current marker view, or nil while membership is full (which is also
 // the answer whenever fault injection is off). The slice is shared
@@ -117,7 +107,7 @@ func (p *Proc) faultMarker() bool {
 	p.deadView = dead
 	ci := &CallInfo{Op: OpBarrier, Comm: CommMarker, Dest: NoPeer, Src: NoPeer, Root: NoPeer}
 	start := p.opBegin(ci)
-	GroupBarrier(p, alive, faultTag(m, 0))
+	Members(p, alive).Barrier(faultTag(m, 0))
 	p.opEnd(ci, start)
 	return true
 }

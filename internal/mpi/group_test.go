@@ -24,7 +24,7 @@ func TestGroupAllreduceSubset(t *testing.T) {
 		if TreePos(members, p.Rank()) < 0 {
 			return
 		}
-		v := GroupAllreduceU64(p, members, 100<<10, uint64(p.Rank()), OpSum)
+		v := Members(p, members).AllreduceU64(100<<10, uint64(p.Rank()), OpSum)
 		mu.Lock()
 		got[p.Rank()] = v
 		mu.Unlock()
@@ -46,14 +46,14 @@ func TestGroupReduceBcastRoles(t *testing.T) {
 		if TreePos(members, p.Rank()) < 0 {
 			return
 		}
-		v, isRoot := GroupReduceU64(p, members, 200<<10, 1, OpSum)
+		v, isRoot := Members(p, members).ReduceU64(200<<10, 1, OpSum)
 		mu.Lock()
 		roots[p.Rank()] = isRoot
 		mu.Unlock()
 		if isRoot && v != 3 {
 			t.Errorf("root reduce = %d, want 3", v)
 		}
-		out := GroupBcastU64(p, members, 300<<10, uint64(p.Rank())*10)
+		out := Members(p, members).BcastObj(300<<10, uint64(p.Rank())*10, 8).(uint64)
 		mu.Lock()
 		bcast[p.Rank()] = out
 		mu.Unlock()
@@ -77,16 +77,16 @@ func TestGroupGatherScatterAlltoallBarrier(t *testing.T) {
 		if TreePos(members, p.Rank()) < 0 {
 			return
 		}
-		GroupBarrier(p, members, 400<<10)
-		out := GroupGatherObj(p, members, 500<<10, 8, p.Rank()*100)
+		Members(p, members).Barrier(400 << 10)
+		out := Members(p, members).GatherObj(500<<10, 8, p.Rank()*100)
 		if out != nil {
 			mu.Lock()
 			gathered = out
 			mu.Unlock()
 		}
-		GroupScatter(p, members, 600<<10, 64)
-		GroupAlltoall(p, members, 700<<10, 32)
-		GroupBarrier(p, members, 800<<10)
+		Members(p, members).Scatter(600<<10, 64, nil)
+		Members(p, members).Alltoall(700<<10, 32)
+		Members(p, members).Barrier(800 << 10)
 	})
 	want := []any{100, 200, 300, 500, 700}
 	if !reflect.DeepEqual(gathered, want) {
@@ -99,9 +99,9 @@ func TestGroupNonMemberNoop(t *testing.T) {
 	runGroup(t, 4, func(p *Proc) {
 		// Ranks 2 and 3 call every helper too; they must return
 		// immediately without traffic (the members complete regardless).
-		GroupBarrier(p, members, 900<<10)
-		GroupAllreduceU64(p, members, 1000<<10, 1, OpSum)
-		if out := GroupBcastObj(p, members, 1100<<10, "keep", 4); TreePos(members, p.Rank()) < 0 && out != "keep" {
+		Members(p, members).Barrier(900 << 10)
+		Members(p, members).AllreduceU64(1000<<10, 1, OpSum)
+		if out := Members(p, members).BcastObj(1100<<10, "keep", 4); TreePos(members, p.Rank()) < 0 && out != "keep" {
 			t.Errorf("non-member bcast returned %v", out)
 		}
 	})

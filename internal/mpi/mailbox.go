@@ -69,15 +69,17 @@ func matches(msg *message, comm CommID, source, tag int) bool {
 }
 
 // take blocks until a message matching (comm, source, tag) from the
-// given specific source is available and removes it from the queue.
-// Specific-source matching needs no conservation check: per-source FIFO
-// makes the oldest match the only legal one.
-func (m *mailbox) take(comm CommID, source, tag int) message {
+// given specific source is available and removes it from the queue,
+// calling claim under the lock just before the dequeue. Specific-source
+// matching needs no conservation check: per-source FIFO makes the oldest
+// match the only legal one.
+func (m *mailbox) take(comm CommID, source, tag int, claim func()) message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		for i := range m.msgs {
 			if matches(&m.msgs[i], comm, source, tag) {
+				claim()
 				msg := m.msgs[i]
 				m.msgs = append(m.msgs[:i], m.msgs[i+1:]...)
 				return msg

@@ -7,10 +7,10 @@
 // virtual clocks according to a vtime.CostModel, so the maximum final
 // clock is the virtual makespan of the run. An Interposer receives a
 // Pre/Post callback around every public operation — the Go equivalent of
-// the PMPI profiling layer ScalaTrace and Chameleon hook into. The Raw*
-// variants perform the same communication without interposition and are
-// what the tracing layer itself uses, mirroring how PMPI tools call
-// PMPI_* internals.
+// the PMPI profiling layer ScalaTrace and Chameleon hook into.
+// RawSend/RawRecv and the collectives over a member tree (Members)
+// communicate without interposition and are what the tracing layer
+// itself uses, mirroring how PMPI tools call PMPI_* internals.
 package mpi
 
 import (
@@ -191,9 +191,11 @@ func (rt *Runtime) takeAny(self int, mb *mailbox, comm CommID, tag int) message 
 		// no bump. On any interleaving, re-evaluate.
 		if best >= 0 && rt.lbtsSafe(self, cand.arrive) && rt.gen() == g {
 			// Re-take under the lock: only earlier candidates can have
-			// appeared meanwhile, and safety is monotone downward.
+			// appeared meanwhile, and safety is monotone downward. The
+			// rank turns active before the dequeue (see lbtsSafe).
 			mb.mu.Lock()
 			i := mb.scanAny(comm, tag)
+			rt.setState(self, stateActive)
 			msg := mb.msgs[i]
 			mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
 			mb.mu.Unlock()
@@ -267,6 +269,13 @@ func (rt *Runtime) depositLocal(dest int, msg message) {
 // application messages again and are exempt. This is the
 // lower-bound-time-stamp rule of conservative parallel discrete-event
 // simulation, specialized to the one-hop unblocking chain.
+//
+// The scan is sound only under one invariant: nothing that can lower
+// another rank's future arrival bound becomes visible to the matcher
+// without a generation bump first. Hence a receiver turns active (which
+// bumps) under its mailbox lock before it dequeues the message that
+// bounded it, and a sender deposits (which bumps) before its clock moves
+// past the send time.
 func (rt *Runtime) lbtsSafe(self int, t vtime.Time) bool {
 	alpha := vtime.Time(rt.model.Alpha)
 	for _, r := range rt.local {
@@ -489,7 +498,7 @@ func (c *Comm) Dup() *Comm {
 	if c.self == 0 {
 		id = c.p.rt.tr.allocComm(1)
 	}
-	id = CommID(c.rawBcastU64(0, uint64(id)))
+	id = CommID(c.tree(0).BcastObj(c.CollTag(), uint64(id), 8).(uint64))
 	return &Comm{p: c.p, id: id, group: c.group, self: c.self}
 }
 
@@ -652,7 +661,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 			if rt.fault != nil && p.aliveView != nil {
 				// Survivors synchronize among themselves; the departed
 				// never reach finalize.
-				GroupBarrier(p, p.aliveView, groupFinalizeTag)
+				Members(p, p.aliveView).Barrier(groupFinalizeTag)
 			} else {
 				p.world.rawBarrier()
 			}

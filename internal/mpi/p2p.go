@@ -28,7 +28,8 @@ func (c *Comm) rawSend(dest, tag, bytes int, payload any) {
 	}
 	rt := c.p.rt
 	m := rt.model
-	sendAt := c.p.Clock.Advance(m.Alpha)
+	// Deposit before the clock advances (see lbtsSafe).
+	sendAt := c.p.Clock.Now() + vtime.Time(m.Alpha)
 	msg := message{
 		comm:    c.id,
 		source:  c.self,
@@ -44,6 +45,7 @@ func (c *Comm) rawSend(dest, tag, bytes int, payload any) {
 		msg.sendVT = sendAt
 	}
 	rt.tr.deposit(c.worldRank(dest), msg)
+	c.p.Clock.Advance(m.Alpha)
 }
 
 // rawRecv blocks until a matching message is available and advances the
@@ -65,9 +67,8 @@ func (c *Comm) rawRecv(source, tag int) Message {
 	if source == AnySource {
 		msg = rt.takeAny(self, rt.mailboxes[self], c.id, tag)
 	} else {
-		msg = rt.mailboxes[self].take(c.id, source, tag)
+		msg = rt.mailboxes[self].take(c.id, source, tag, func() { rt.setState(self, stateActive) })
 	}
-	rt.setState(self, stateActive)
 	c.p.Clock.AdvanceTo(msg.arrive)
 	c.p.Clock.Advance(rt.model.Alpha) // receive-side software overhead
 	if rt.causal != nil && msg.seq != 0 {

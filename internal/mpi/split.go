@@ -12,8 +12,8 @@ type splitEntry struct{ Color, Key, Rank int }
 // rank). Ranks passing a negative color (MPI_UNDEFINED) receive nil. The
 // call is collective over the parent communicator.
 func (c *Comm) Split(color, key int) *Comm {
-	seq := c.nextSeq()
-	gathered := c.treeGather(0, collTag(c.id, seq, 0), 12,
+	t, tag := c.tree(0), c.CollTag()
+	gathered := t.GatherObj(tag, 12,
 		splitEntry{Color: color, Key: key, Rank: c.self})
 
 	// The root computes the group layout and broadcasts it.
@@ -42,7 +42,7 @@ func (c *Comm) Split(color, key int) *Comm {
 			layout[col] = group
 		}
 	}
-	layout = c.treeBcast(0, collTag(c.id, seq, 1), 16*len(c.group), layout).(map[int][]int)
+	layout = t.BcastObj(tag|1, layout, 16*len(c.group)).(map[int][]int)
 
 	// One CommID per color, in sorted color order, so every member maps
 	// its color to the same identity.
@@ -50,7 +50,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	if c.self == 0 {
 		base = c.p.rt.tr.allocComm(len(layout))
 	}
-	base = CommID(c.treeBcast(0, collTag(c.id, seq, 2), 8, uint64(base)).(uint64))
+	base = CommID(t.BcastObj(tag|2, uint64(base), 8).(uint64))
 	if color < 0 {
 		return nil
 	}

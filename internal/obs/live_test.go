@@ -185,6 +185,40 @@ func (ls *liveSink) snapshot() []Delta {
 	return append([]Delta(nil), ls.deltas...)
 }
 
+// TestProgressWindowSnapshotConsistent: a snapshot pairs each window
+// count with that window's own arrival time and flush mark while the
+// rank keeps publishing.
+func TestProgressWindowSnapshotConsistent(t *testing.T) {
+	p := NewProgress(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for w := uint64(1); w <= 20000; w++ {
+			p.Window(0, w, int64(w)*1000)
+			if w%3 == 0 {
+				p.Flushed(0, w)
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if rp := p.Snapshot()[0]; rp.Windows != 20000 || rp.FlushWindow != 19998 {
+				t.Fatalf("final snapshot %+v, want window 20000 flushed at 19998", rp)
+			}
+			return
+		default:
+		}
+		rp := p.Snapshot()[0]
+		if rp.ArriveVT != int64(rp.Windows)*1000 {
+			t.Fatalf("torn snapshot: window %d with arrival %d", rp.Windows, rp.ArriveVT)
+		}
+		if rp.FlushWindow > rp.Windows || rp.Windows-rp.FlushWindow > 3 {
+			t.Fatalf("torn snapshot: window %d with flush window %d", rp.Windows, rp.FlushWindow)
+		}
+	}
+}
+
 // TestShipperHappyPath runs a shipper against an httptest sink and
 // checks sequencing, payload contents, and the final flush.
 func TestShipperHappyPath(t *testing.T) {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"sync/atomic"
 )
 
@@ -11,9 +12,11 @@ import (
 // rank completed, when (in virtual time) did it arrive at its last
 // window boundary, how much application compute has it burned, is it
 // still issuing MPI operations at all — without any locking: every
-// field is an independent atomic, and a torn read across fields only
-// smears one snapshot interval, which the consumer tolerates by
-// construction.
+// field is an independent atomic. The window fields (count, arrival
+// time, last flush) are published together under a per-slot sequence
+// counter, so a snapshot never pairs one window's count with another
+// window's arrival time; the counters may smear one snapshot interval,
+// which the consumer tolerates by construction.
 //
 // A nil *Progress is the disabled state: every method no-ops, so the
 // runtime hooks cost one pointer test when live telemetry is off.
@@ -24,6 +27,10 @@ type Progress struct {
 // progressSlot is one rank's live counters, padded to its own cache
 // line so concurrent rank goroutines never false-share.
 type progressSlot struct {
+	// seq is odd while the rank is publishing the window fields below
+	// (windows, arriveVT, flushWindow); readers retry until they see
+	// the same even value before and after their loads.
+	seq atomic.Uint64
 	// windows is the number of completed marker windows (the marker
 	// call count, 1-based after the first marker).
 	windows atomic.Uint64
@@ -31,6 +38,11 @@ type progressSlot struct {
 	// marker barrier — before synchronization stretched it to the
 	// collective exit time — so cross-rank skew survives the barrier.
 	arriveVT atomic.Int64
+	// flushWindow is the last marker window whose processing flushed
+	// the trace. The flush is collective, so every rank records the
+	// same windows, and its virtual-time cost lands on the arrivals of
+	// window flushWindow+1.
+	flushWindow atomic.Uint64
 	// computeVT accumulates application compute virtual time, including
 	// fault-injected stretch: a 4x-slow rank shows ~4x the median here.
 	computeVT atomic.Int64
@@ -40,7 +52,7 @@ type progressSlot struct {
 	// departed is set when the rank crash-stops.
 	departed atomic.Bool
 
-	_ [24]byte // pad the slot past a 64-byte line
+	_ [8]byte // pad the slot past a 64-byte line
 }
 
 // RankProgress is the exported snapshot of one rank's slot — the
@@ -52,6 +64,9 @@ type RankProgress struct {
 	ComputeVT int64  `json:"compute_vt_ns"`
 	Ops       uint64 `json:"ops"`
 	Departed  bool   `json:"departed,omitempty"`
+	// FlushWindow is the last window after which the tracer flushed;
+	// a window equal to FlushWindow+1 carries the flush's stall.
+	FlushWindow uint64 `json:"flush_window,omitempty"`
 }
 
 // NewProgress sizes a progress board for p ranks.
@@ -69,8 +84,22 @@ func (p *Progress) Window(rank int, window uint64, arriveVT int64) {
 		return
 	}
 	s := &p.slots[rank]
+	s.seq.Add(1)
 	s.windows.Store(window)
 	s.arriveVT.Store(arriveVT)
+	s.seq.Add(1)
+}
+
+// Flushed records that rank's tracer flushed the trace while
+// processing marker window (1-based).
+func (p *Progress) Flushed(rank int, window uint64) {
+	if p == nil || rank < 0 || rank >= len(p.slots) {
+		return
+	}
+	s := &p.slots[rank]
+	s.seq.Add(1)
+	s.flushWindow.Store(window)
+	s.seq.Add(1)
 }
 
 // AddCompute accumulates d virtual nanoseconds of application compute
@@ -106,10 +135,9 @@ func (p *Progress) Ranks() int {
 	return len(p.slots)
 }
 
-// Snapshot copies every slot. Safe to call concurrently with updates;
-// each rank's fields are read independently, which is consistent enough
-// for monitoring (a window count can be at most one snapshot interval
-// newer than its arrival time).
+// Snapshot copies every slot. Safe to call concurrently with updates:
+// each rank's window fields are read as one consistent set, the
+// counters independently.
 func (p *Progress) Snapshot() []RankProgress {
 	if p == nil {
 		return nil
@@ -117,14 +145,23 @@ func (p *Progress) Snapshot() []RankProgress {
 	out := make([]RankProgress, len(p.slots))
 	for r := range p.slots {
 		s := &p.slots[r]
-		out[r] = RankProgress{
-			Rank:      r,
-			Windows:   s.windows.Load(),
-			ArriveVT:  s.arriveVT.Load(),
-			ComputeVT: s.computeVT.Load(),
-			Ops:       s.ops.Load(),
-			Departed:  s.departed.Load(),
+		rp := RankProgress{Rank: r}
+		for {
+			seq := s.seq.Load()
+			if seq&1 == 0 {
+				rp.Windows = s.windows.Load()
+				rp.ArriveVT = s.arriveVT.Load()
+				rp.FlushWindow = s.flushWindow.Load()
+				if s.seq.Load() == seq {
+					break
+				}
+			}
+			runtime.Gosched()
 		}
+		rp.ComputeVT = s.computeVT.Load()
+		rp.Ops = s.ops.Load()
+		rp.Departed = s.departed.Load()
+		out[r] = rp
 	}
 	return out
 }

@@ -156,11 +156,11 @@ func (e *engine) members(n *trace.Node) []int {
 }
 
 // groupTag derives this occurrence's tag block for a partial-coverage
-// collective node (bits 0-1 left free for the helpers' sub-tags).
+// collective node.
 func (e *engine) groupTag(n *trace.Node) int {
 	occ := e.occ[n]
 	e.occ[n] = occ + 1
-	return 1<<40 | e.ids[n]<<18 | (occ&0xffff)<<2
+	return mpi.ReplayGroupTag(e.ids[n], occ)
 }
 
 // rootFirst reorders members so the group helpers' root (position 0) is
@@ -311,55 +311,53 @@ func (e *engine) issue(n *trace.Node) {
 		}
 	case mpi.OpBarrier:
 		if m := e.members(n); m != nil {
-			mpi.GroupBarrier(e.p, m, e.groupTag(n))
+			mpi.Members(e.p, m).Barrier(e.groupTag(n))
 		} else {
 			e.w.Barrier()
 		}
 	case mpi.OpBcast:
 		root, _ := e.resolve(ev.Dest)
 		if m := e.members(n); m != nil {
-			mpi.GroupBcastObj(e.p, rootFirst(m, root), e.groupTag(n), nil, ev.Bytes)
+			mpi.Members(e.p, rootFirst(m, root)).BcastObj(e.groupTag(n), nil, ev.Bytes)
 		} else {
 			e.w.Bcast(root, ev.Bytes, nil)
 		}
 	case mpi.OpReduce:
 		root, _ := e.resolve(ev.Dest)
 		if m := e.members(n); m != nil {
-			mpi.GroupReduceU64(e.p, rootFirst(m, root), e.groupTag(n), 0, mpi.OpSum)
+			mpi.Members(e.p, rootFirst(m, root)).ReduceU64(e.groupTag(n), 0, mpi.OpSum)
 		} else {
 			e.w.Reduce(root, ev.Bytes, 0, mpi.OpSum)
 		}
 	case mpi.OpAllreduce:
 		if m := e.members(n); m != nil {
-			mpi.GroupAllreduceU64(e.p, m, e.groupTag(n), 0, mpi.OpSum)
+			mpi.Members(e.p, m).AllreduceU64(e.groupTag(n), 0, mpi.OpSum)
 		} else {
 			e.w.Allreduce(ev.Bytes, 0, mpi.OpSum)
 		}
 	case mpi.OpGather:
 		root, _ := e.resolve(ev.Dest)
 		if m := e.members(n); m != nil {
-			mpi.GroupGatherObj(e.p, rootFirst(m, root), e.groupTag(n), ev.Bytes, nil)
+			mpi.Members(e.p, rootFirst(m, root)).GatherObj(e.groupTag(n), ev.Bytes, nil)
 		} else {
 			e.w.Gather(root, ev.Bytes, nil)
 		}
 	case mpi.OpAllgather:
 		if m := e.members(n); m != nil {
-			tag := e.groupTag(n)
-			mpi.GroupGatherObj(e.p, m, tag, ev.Bytes, nil)
-			mpi.GroupBcastObj(e.p, m, tag|1, nil, ev.Bytes*len(m))
+			mpi.Members(e.p, m).Allgather(e.groupTag(n), ev.Bytes, nil)
 		} else {
 			e.w.Allgather(ev.Bytes, nil)
 		}
 	case mpi.OpScatter:
 		root, _ := e.resolve(ev.Dest)
 		if m := e.members(n); m != nil {
-			mpi.GroupScatter(e.p, rootFirst(m, root), e.groupTag(n), ev.Bytes)
+			mpi.Members(e.p, rootFirst(m, root)).Scatter(e.groupTag(n), ev.Bytes, nil)
 		} else {
 			e.w.Scatter(root, ev.Bytes, nil)
 		}
 	case mpi.OpAlltoall:
 		if m := e.members(n); m != nil {
-			mpi.GroupAlltoall(e.p, m, e.groupTag(n), ev.Bytes)
+			mpi.Members(e.p, m).Alltoall(e.groupTag(n), ev.Bytes)
 		} else {
 			e.w.Alltoall(ev.Bytes)
 		}

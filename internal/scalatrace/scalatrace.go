@@ -86,13 +86,9 @@ func (t *Tracer) Post(ci *mpi.CallInfo) {
 // compression.
 func (t *Tracer) Finalize() {
 	p := t.rec.Proc
-	members := make([]int, p.Size())
-	for i := range members {
-		members[i] = i
-	}
 	mine := t.rec.TakePartial()
-	global := tracer.MergeOverTree(p, members, mine, t.rec.Comp.Filter,
-		tracer.MergeTag(0), vtime.CatInterComp)
+	global := tracer.MergeOverTree(p, nil, mine, t.rec.Comp.Filter,
+		mpi.MergeTag(0), vtime.CatInterComp)
 
 	t.col.mu.Lock()
 	defer t.col.mu.Unlock()

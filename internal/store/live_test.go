@@ -481,6 +481,79 @@ func TestLiveDesync(t *testing.T) {
 	}
 }
 
+// TestLiveDesyncJudgesOneWindow: only ranks reporting the rolled-up
+// window are compared (a rank a window ahead reports a later barrier),
+// lag is measured from the median arrival (one rank whose compute ran
+// short makes no one late), and a window that follows a tracer flush is
+// summarized but raises no event until the band shows up again outside
+// one.
+func TestLiveDesyncJudgesOneWindow(t *testing.T) {
+	clk := newFakeClock()
+	l := NewLive(LiveOptions{Now: clk.now})
+	ms := int64(time.Millisecond)
+	apply := func(seq uint64, ranks ...obs.RankProgress) WindowSummary {
+		t.Helper()
+		for i := range ranks {
+			ranks[i].Rank, ranks[i].Ops = i, 10*seq
+		}
+		if _, err := l.Apply("sw", []obs.Delta{ranksDelta(seq, ranks...)}); err != nil {
+			t.Fatal(err)
+		}
+		v, err := l.View("sw", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Windows[len(v.Windows)-1]
+	}
+	at := func(win uint64, vt int64) obs.RankProgress { return obs.RankProgress{Windows: win, ArriveVT: vt} }
+	flushed := func(rp obs.RankProgress, f uint64) obs.RankProgress { rp.FlushWindow = f; return rp }
+
+	// Median window 1; ranks 0,1 already report window 2's arrivals.
+	ws := apply(1, at(2, 30*ms), at(2, 30*ms), at(1, 10*ms), at(1, 10*ms), at(1, 10*ms), at(1, 10*ms), at(1, 10*ms))
+	if ws.Window != 1 || ws.LateRanks != nil || ws.ArriveSkewNs != 0 {
+		t.Errorf("mixed windows: %+v, want window 1 with no band", ws)
+	}
+	// Rank 0 arrives 10ms early; everyone else is on time.
+	ws = apply(2, at(2, 20*ms), at(2, 30*ms), at(2, 30*ms), at(2, 30*ms), at(2, 30*ms+ms/2), at(2, 30*ms), at(2, 30*ms))
+	if ws.LateRanks != nil {
+		t.Errorf("early rank made %v late", ws.LateRanks)
+	}
+	// Window 4 follows the flush at window 3: ranks 0,1 late, no event.
+	var w4 []obs.RankProgress
+	for r := 0; r < 7; r++ {
+		vt := 40 * ms
+		if r < 2 {
+			vt = 65 * ms
+		}
+		w4 = append(w4, flushed(at(4, vt), 3))
+	}
+	ws = apply(3, w4...)
+	if !ws.AfterFlush || len(ws.LateRanks) != 2 {
+		t.Errorf("after-flush window: %+v, want AfterFlush with band [0 1]", ws)
+	}
+	// The same band one window later is judged.
+	for r := range w4 {
+		w4[r].Windows, w4[r].ArriveVT = 5, w4[r].ArriveVT+40*ms
+	}
+	ws = apply(4, w4...)
+	if ws.AfterFlush {
+		t.Errorf("window 5 marked after-flush: %+v", ws)
+	}
+	v, err := l.View("sw", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var desyncs []LiveEvent
+	for _, ev := range v.LiveEvents {
+		if ev.Kind == LiveEventDesync {
+			desyncs = append(desyncs, ev)
+		}
+	}
+	if len(desyncs) != 1 || !strings.HasPrefix(desyncs[0].Note, "window 5: ranks [0 1]") {
+		t.Errorf("desync events = %+v, want one at window 5 for ranks [0 1]", desyncs)
+	}
+}
+
 // TestLiveDesyncRejectsNonWave: lone stragglers, scattered late ranks,
 // and whole-machine lag never fire desync.
 func TestLiveDesyncRejectsNonWave(t *testing.T) {

@@ -7,17 +7,11 @@ import (
 	"chameleon/internal/vtime"
 )
 
-// mergeTagBase keeps radix-tree merge traffic clear of the collective
-// tag namespace on the internal communicator.
-const mergeTagBase = 1 << 55
-
-// MergeTag derives the internal tag for merge round `round`.
-func MergeTag(round int) int { return mergeTagBase | round<<3 }
-
 // MergeOverTree runs one inter-node compression step: every member rank
 // contributes its node sequence, traces are merged pairwise up a
 // binomial (radix) tree, and members[0] returns the merged sequence
-// (nil on other ranks; non-members return mine unchanged).
+// (nil on other ranks; non-members return mine unchanged). A nil
+// members list means all ranks.
 //
 // members must be in identical order on every participating rank, and
 // every member must call MergeOverTree with the same tag. Transfer costs
@@ -26,26 +20,25 @@ func MergeTag(round int) int { return mergeTagBase | round<<3 }
 // byte to the given ledger category — together these realize the
 // paper's O(n² log |members|) inter-compression cost.
 func MergeOverTree(p *mpi.Proc, members []int, mine []*trace.Node, filter bool, tag int, cat vtime.Category) []*trace.Node {
-	pos := mpi.TreePos(members, p.Rank())
-	if pos < 0 {
+	tree := mpi.Members(p, members)
+	if !tree.IsMember() {
 		return mine
 	}
 	// Default causal label (tag distinguishes rounds); core's explicit
 	// "merge:<cause>" context, when set, takes precedence.
 	defer p.CausalContextDefault("merge", tag)()
 	model := p.Model()
-	world := p.World()
 	// Handles are nil-safe when metrics are off; no guard needed.
 	o := p.Obs()
 	mSteps := o.Counter("tracer_merge_steps_total")
 	mCompares := o.Counter("tracer_merge_compares_total")
 	mBytes := o.Counter("tracer_merge_bytes_total")
-	o.Gauge("tracer_merge_tree_depth").SetMax(int64(vtime.Log2Ceil(len(members))))
+	o.Gauge("tracer_merge_tree_depth").SetMax(int64(vtime.Log2Ceil(tree.Size())))
 	acc := mine
-	for _, childPos := range mpi.TreeChildPositions(pos, len(members)) {
-		t0 := p.Clock.Now()
-		msg := world.RawRecv(members[childPos], tag)
-		// Book the transfer/wait time the recv put on the clock.
+	// t0 marks where the next transfer starts: each receive, and the
+	// final send, book the time they put on the clock.
+	t0 := p.Clock.Now()
+	root := tree.Reduce(tag, func(msg mpi.Message) {
 		p.Ledger.Charge(cat, vtime.Duration(p.Clock.Now()-t0))
 		o.Span(p.Rank(), "merge-wait", obs.CatTracer, t0, p.Clock.Now())
 		child, _ := msg.Payload.([]*trace.Node)
@@ -65,10 +58,9 @@ func MergeOverTree(p *mpi.Proc, members []int, mine []*trace.Node, filter bool, 
 			Kind: obs.KindMerge, Rank: p.Rank(), VT: int64(p.Clock.Now()),
 			Count: uint64(m.Stats.Compares), Bytes: int64(m.Stats.BytesMerged),
 		})
-	}
-	if parent := mpi.TreeParentPos(pos); parent >= 0 {
-		t0 := p.Clock.Now()
-		world.RawSend(members[parent], tag, trace.SizeBytes(acc), acc)
+		t0 = p.Clock.Now()
+	}, func() (int, any) { return trace.SizeBytes(acc), acc })
+	if !root {
 		p.Ledger.Charge(cat, vtime.Duration(p.Clock.Now()-t0))
 		return nil
 	}

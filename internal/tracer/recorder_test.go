@@ -223,7 +223,7 @@ func TestMergeOverTree(t *testing.T) {
 		for i := range members {
 			members[i] = i
 		}
-		merged := MergeOverTree(p, members, r.TakePartial(), false, MergeTag(7), vtime.CatInterComp)
+		merged := MergeOverTree(p, members, r.TakePartial(), false, mpi.MergeTag(7), vtime.CatInterComp)
 		if p.Rank() == 0 {
 			got = merged
 		} else if merged != nil {
@@ -262,7 +262,7 @@ func TestMergeOverTreeNonMember(t *testing.T) {
 		ci := &mpi.CallInfo{Op: mpi.OpBarrier, Comm: mpi.CommWorld, Dest: mpi.NoPeer, Src: mpi.NoPeer, Root: mpi.NoPeer}
 		r.Record(ci, 0, 0)
 		mine := r.TakePartial()
-		out := MergeOverTree(p, members, mine, false, MergeTag(9), vtime.CatInterComp)
+		out := MergeOverTree(p, members, mine, false, mpi.MergeTag(9), vtime.CatInterComp)
 		switch p.Rank() {
 		case 0:
 			if out == nil || trace.LeafCount(out) != 1 {
